@@ -641,6 +641,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(f"degraded:  {degradations.summary()}")
     print(f"traffic:   frames={stats.frames_sent} "
           f"retries={stats.retries} retransmits={stats.retransmissions} "
+          f"(ack-gap {stats.fast_retransmissions}) "
           f"reconnects={stats.reconnects} "
           f"queue_high_water={stats.queue_high_water}")
     if metrics is not None:
@@ -686,6 +687,7 @@ def _cmd_load(args: argparse.Namespace) -> int:
           f"({summary['duration']:.2f}s wall)")
     print(f"transport: retries={summary['retries']} "
           f"retransmits={summary['retransmissions']} "
+          f"(ack-gap {summary['fast_retransmissions']}) "
           f"reconnects={summary['reconnects']} "
           f"queue_high_water={summary['queue_high_water']}")
     if args.json_path:

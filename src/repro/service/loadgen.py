@@ -166,6 +166,7 @@ class LoadResult:
             "degradation_events": len(self.degradations),
             "retries": self.stats.retries,
             "retransmissions": self.stats.retransmissions,
+            "fast_retransmissions": self.stats.fast_retransmissions,
             "reconnects": self.stats.reconnects,
             "degraded_rounds": self.stats.degraded_rounds,
             "queue_high_water": self.stats.queue_high_water,

@@ -8,8 +8,8 @@ and any number of concurrent protocol *instances* multiplexed over the
 shared links.
 
 Each instance participant replays the round overlay's contract against real
-time: emit round ``r``, retransmit until acked, advance when one of three
-gates opens —
+time: emit round ``r``, resend until acked, advance when one of three gates
+opens —
 
 1. all ``n`` round-``r`` messages arrived (``D = ∅``);
 2. at least ``n − f`` arrived and every unheard sender is currently
@@ -27,12 +27,27 @@ Every recorded view therefore satisfies ``S(i,r) ∪ D(i,r) = S`` and
 checked, by :func:`audit_instance` and by projecting through the existing
 :meth:`~repro.substrates.messaging.rounds.OverlayResult.to_trace` path — is
 round ordering and communication closure on what actually crossed the wire.
+
+Loss repair has two paths.  Every data transmission on a link carries a
+per-link sequence number ``s`` and the receiver's ack echoes it.  A link
+is one in-order TCP stream (injected delay is applied in-line, duplicate
+copies are queued back to back) and the receiver acks in arrival order,
+so an ack for ``s = k`` from peer ``j`` proves every earlier outstanding
+transmission to ``j`` lost, or its ack lost (RFC 9002 §6.1
+packet-threshold detection with threshold 1).  The endpoint's
+:class:`OutstandingTable` finds those and the endpoint resends at once
+each whose ``(instance, round)`` ``j`` has still not acked — the
+*ack-gap* path.  The participant's backoff timer
+(:meth:`_Participant._retransmit`) remains the backstop for what no later
+ack can expose: a lost message with nothing sent after it on its link
+(tail loss) and a dead peer that acks nothing.
 """
 
 from __future__ import annotations
 
 import asyncio
 import random
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Sequence
@@ -136,9 +151,25 @@ class ServiceConfig:
     def __post_init__(self) -> None:
         if not 0 <= self.f < self.n:
             raise ValueError(f"need 0 ≤ f < n, got f={self.f}, n={self.n}")
-        for name in ("heartbeat_interval", "round_deadline", "retransmit_base"):
+        for name in (
+            "heartbeat_interval", "round_deadline", "retransmit_base",
+            "connect_base",
+        ):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+        for name in ("retransmit_retries", "max_retries", "backoff_jitter"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be ≥ 0, got {getattr(self, name)}")
+        # The two Backoff schedules built from these fields need cap ≥ base;
+        # checked here so a bad config fails at construction, not mid-run.
+        for cap, base in (
+            ("retransmit_cap", "retransmit_base"), ("backoff_cap", "connect_base"),
+        ):
+            if getattr(self, cap) < getattr(self, base):
+                raise ValueError(
+                    f"{cap} must be ≥ {base}, got {getattr(self, cap)} < "
+                    f"{getattr(self, base)}"
+                )
 
 
 @dataclass(frozen=True)
@@ -296,6 +327,8 @@ class _Participant:
         self.buffers: dict[int, dict[int, Any]] = {}
         self.views: list[RoundView] = []
         self.emissions: dict[int, Any] = {}
+        # round → the encoded data message broadcast for it (resends reuse it)
+        self.broadcasts: dict[int, dict[str, Any]] = {}
         self.acks: dict[int, set[int]] = {}
         self.late_discarded = 0
         self.late_arrivals: list[tuple[int, int, int]] = []
@@ -363,7 +396,9 @@ class _Participant:
                 # Self-delivery is the buffer write above, not a socket
                 # frame, so the delivery event is recorded here.
                 self.recorder.on_deliver(self.pid, self.pid, (r, payload), now)
-            await self.endpoint.broadcast_data(self.spec.name, r, payload)
+            self.broadcasts[r] = await self.endpoint.broadcast_data(
+                self.spec.name, r, payload
+            )
             self._side_tasks.append(
                 asyncio.get_running_loop().create_task(self._retransmit(r))
             )
@@ -458,8 +493,13 @@ class _Participant:
         return None
 
     async def _retransmit(self, r: int) -> None:
-        """Resend the round-``r`` emission until every peer acked it.
+        """The backstop: resend the round-``r`` emission on a backoff timer
+        until every peer acked it.
 
+        Most losses are repaired sooner, by the endpoint's ack-gap
+        detection, as soon as a later transmission on the same link is
+        acked.  The timer catches what no later ack exposes: tail loss
+        (nothing sent after the lost message on its link) and a dead peer.
         Continues after this participant advances past ``r`` (laggards still
         need old rounds — the reliable overlay's rule), gives up after the
         retry budget: a peer silent that long is the suspicion machinery's
@@ -473,9 +513,8 @@ class _Participant:
             if not missing or self.endpoint.runtime.stopping:
                 return
             for dst in sorted(missing):
-                self.endpoint.stats.retransmissions += 1
                 await self.endpoint.send_data(
-                    dst, self.spec.name, r, self.emissions[r]
+                    dst, self.broadcasts[r], resend="timer"
                 )
 
     def cancel_side_tasks(self) -> None:
@@ -500,6 +539,62 @@ class _Participant:
 # endpoints
 
 
+class OutstandingTable:
+    """One endpoint's unacked data transmissions, per destination in
+    ``s`` order: the state of ack-gap loss detection.
+
+    An entry leaves the table when it is acked, when a later ack proves it
+    lost (:meth:`acked` returns it), or when its instance finishes
+    (:meth:`forget`) — a killed peer never acks, so without the last rule
+    the table would grow for as long as the runtime runs.
+
+    Numbers follow the order in which senders reach :meth:`PeerLink.send`.
+    Only a full send queue can reorder that (a sender woken from the
+    backpressure wait may find its slot taken by a newer one); the gap then
+    resends a message that is still queued — a redundant copy, never a
+    missed loss.
+    """
+
+    def __init__(self) -> None:
+        self._links: dict[int, OrderedDict[int, dict[str, Any]]] = {}
+        self._instances: dict[str, list[tuple[int, int]]] = {}
+
+    def __len__(self) -> int:
+        return sum(len(entries) for entries in self._links.values())
+
+    def sent(self, dst: int, s: int, doc: dict[str, Any]) -> None:
+        """Track data ``doc`` transmitted to ``dst`` as number ``s``.
+
+        ``doc`` is the unnumbered message, shared by every transmission
+        of it; a resend stamps a fresh copy."""
+        entries = self._links.get(dst)
+        if entries is None:
+            entries = self._links[dst] = OrderedDict()
+        entries[s] = doc
+        self._instances.setdefault(doc["i"], []).append((dst, s))
+
+    def acked(self, dst: int, s: int) -> list[dict[str, Any]]:
+        """Apply ``dst``'s ack for ``s``: drop ``s`` and remove and return
+        every earlier outstanding transmission to ``dst``, oldest first —
+        the ack proves each lost, or its ack lost.  A repeated ack finds
+        nothing left to remove."""
+        lost: list[dict[str, Any]] = []
+        entries = self._links.get(dst)
+        while entries:
+            first = next(iter(entries))
+            if first > s:
+                break
+            doc = entries.popitem(last=False)[1]
+            if first < s:
+                lost.append(doc)
+        return lost
+
+    def forget(self, instance: str) -> None:
+        """Drop every entry of a finished instance."""
+        for dst, s in self._instances.pop(instance, ()):
+            self._links[dst].pop(s, None)
+
+
 class ServiceEndpoint:
     """One live process: TCP server, peer links, heartbeats, participants."""
 
@@ -522,6 +617,7 @@ class ServiceEndpoint:
             stats=self.stats,
         )
         self.links: dict[int, PeerLink] = {}
+        self.outstanding = OutstandingTable()
         self.participants: dict[str, _Participant] = {}
         self.server: asyncio.base_events.Server | None = None
         self.port: int | None = None
@@ -675,37 +771,81 @@ class ServiceEndpoint:
                 )
             # Ack every data delivery, duplicates included — the sender's
             # earlier ack may have been lost (the reliable overlay's rule).
+            # Acks go out in arrival order and echo ``s``: the sender's
+            # ack-gap detection relies on both.
             link = self.links.get(src)
             if link is not None:
-                await link.send({"t": "ack", "i": instance, "r": round_number})
+                await link.send({
+                    "t": "ack", "i": instance, "r": round_number,
+                    "s": message.get("s"),
+                })
         elif tag == "ack":
             participant = self.participants.get(instance)
             if participant is not None:
                 participant.on_ack(src, round_number)
+            s = message.get("s")
+            if s is not None:
+                await self._resend_lost(src, self.outstanding.acked(src, s))
+
+    async def _resend_lost(self, dst: int, lost: list[dict[str, Any]]) -> None:
+        """Resend the transmissions an ack proved lost, once per
+        ``(instance, round)``, skipping what ``dst`` has acked since and
+        instances that have finished."""
+        resent: set[tuple[str, int]] = set()
+        for doc in lost:
+            key = (doc["i"], doc["r"])
+            participant = self.participants.get(key[0])
+            if (
+                participant is None
+                or key in resent
+                or dst in participant.acks.get(key[1], ())
+                or self.runtime.stopping
+            ):
+                continue
+            resent.add(key)
+            await self.send_data(dst, doc, resend="ack-gap")
 
     # ------------------------------------------------------------ outbound
 
     async def broadcast_data(
         self, instance: str, round_number: int, payload: Any
-    ) -> None:
+    ) -> dict[str, Any]:
+        """Send one round message to every peer; returns the encoded
+        message for resends."""
         doc = {
             "t": "data", "i": instance, "r": round_number,
             "p": encode_payload(payload),
         }
-        for link in self.links.values():
-            await link.send(doc)
+        for dst in self.links:
+            await self.send_data(dst, doc)
+        return doc
 
     async def send_data(
-        self, dst: int, instance: str, round_number: int, payload: Any
+        self, dst: int, doc: dict[str, Any], *, resend: str | None = None
     ) -> None:
-        if dst == self.pid:
-            return
+        """Transmit data message ``doc`` to ``dst`` under the link's next
+        ``s`` and track it in :attr:`outstanding` until acked.
+
+        ``resend`` names why a round message goes out again (``"timer"``
+        or ``"ack-gap"``); it is counted and traced as a retransmission.
+        """
         link = self.links.get(dst)
-        if link is not None:
-            await link.send({
-                "t": "data", "i": instance, "r": round_number,
-                "p": encode_payload(payload),
-            })
+        if link is None:
+            return
+        stamped = link.stamp(doc)
+        self.outstanding.sent(dst, stamped["s"], doc)
+        if resend is not None:
+            self.stats.retransmissions += 1
+            if resend == "ack-gap":
+                self.stats.fast_retransmissions += 1
+            tracer = obs.current_tracer()
+            if tracer.enabled:
+                tracer.event(
+                    "service.retransmit",
+                    reason=resend, instance=doc["i"], pid=self.pid, dst=dst,
+                    round=doc["r"], s=stamped["s"],
+                )
+        await link.send(stamped)
 
 
 # ---------------------------------------------------------------------------
@@ -855,6 +995,7 @@ class ServiceRuntime:
             participant.cancel_side_tasks()
             endpoint = self.endpoints[participant.pid]
             endpoint.participants.pop(spec.name, None)
+            endpoint.outstanding.forget(spec.name)
             records[participant.pid] = participant.record(
                 crashed=endpoint.killed
             )

@@ -15,6 +15,15 @@ with backpressure, a writer task that batches ready messages into a single
 frame, per-message write timeouts, and reconnection with capped exponential
 backoff plus jitter when the connection drops mid-stream.
 
+Message kinds inside a frame: ``hb`` (heartbeat), ``data`` (instance
+``i``, round ``r``, payload ``p``, per-link sequence number ``s``) and
+``ack`` (``i``, ``r`` and the acked transmission's ``s``, echoed).
+:meth:`PeerLink.stamp` numbers every data transmission — originals and
+resends alike — before the fault plan sees it, so an injected drop leaves
+the same gap in the echoed ``s`` values as a loss on the wire; the runtime
+reads those gaps to resend lost round messages (see
+:mod:`repro.service.runtime`).
+
 :class:`FaultInjector` adapts a
 :class:`~repro.substrates.messaging.chaos.FaultPlan` to live connections:
 the same drop/dup/jitter/spike/partition/crash-window vocabulary the
@@ -274,7 +283,9 @@ class ServiceStats:
     :mod:`repro.obs.metrics` field contract, so ``--metrics`` reports them
     exactly like ``overlay.*`` / ``chaos.*``.  ``queue_high_water`` is a
     high-water mark, not a counter — it merges by ``max`` and publishes as
-    a gauge, outside the counter fields.
+    a gauge, outside the counter fields.  ``retransmissions`` counts every
+    round-message resend; ``fast_retransmissions`` is the part of it that
+    ack-gap loss detection sent (the rest are retransmit-timer resends).
     """
 
     frames_sent: int = 0
@@ -290,6 +301,7 @@ class ServiceStats:
     delay_spikes: int = 0
     retries: int = 0
     retransmissions: int = 0
+    fast_retransmissions: int = 0
     reconnects: int = 0
     send_failures: int = 0
     heartbeats_sent: int = 0
@@ -307,7 +319,8 @@ class ServiceStats:
         "messages_delivered", "messages_dropped_chaos",
         "messages_dropped_crash", "messages_partition_blocked",
         "messages_duplicated", "messages_delayed", "delay_spikes", "retries",
-        "retransmissions", "reconnects", "send_failures", "heartbeats_sent",
+        "retransmissions", "fast_retransmissions", "reconnects",
+        "send_failures", "heartbeats_sent",
         "suspicions_raised", "suspicions_cleared", "timeout_bumps",
         "degraded_rounds", "parked_instances", "instances_decided",
     )
@@ -387,6 +400,7 @@ class PeerLink:
         self._task: asyncio.Task | None = None
         self._closed = False
         self._ever_connected = False
+        self._next_seq = 0
 
     # ------------------------------------------------------------- lifecycle
 
@@ -416,6 +430,15 @@ class PeerLink:
                 pass
 
     # ----------------------------------------------------------------- send
+
+    def stamp(self, doc: dict[str, Any]) -> dict[str, Any]:
+        """A copy of data ``doc`` carrying this link's next sequence
+        number ``s`` (0, 1, 2, ... per link).  Call it just before
+        :meth:`send`: the number is taken before the fault plan decides
+        the message's fate."""
+        stamped = {**doc, "s": self._next_seq}
+        self._next_seq += 1
+        return stamped
 
     async def send(self, doc: dict[str, Any]) -> None:
         """Enqueue ``doc`` for transmission, applying the fault plan.

@@ -72,7 +72,8 @@ class TestRunLoad:
             "n", "f", "plan", "protocol", "instances", "decided", "degraded",
             "parked", "violations", "throughput", "latency_p50",
             "latency_p95", "duration", "degradation_events", "retries",
-            "retransmissions", "reconnects", "degraded_rounds",
+            "retransmissions", "fast_retransmissions", "reconnects",
+            "degraded_rounds",
             "queue_high_water",
         ):
             assert key in summary, key
