@@ -3,10 +3,12 @@
 Every HO predicate judges histories through its suspicion-side dual
 (``HO(i, r) = S − D(i, r)``, :mod:`repro.ho.model`), so the packed
 configuration rides the same integer-bitmask fast path the RRFD engine
-uses (PR 7): one XOR against ``domain.full_round`` per round plus a
+uses: one XOR against ``domain.full_round`` per round plus a
 ``FastPackedPredicate`` suspicion kernel.  The ``set`` configuration pins
-``bitset=False`` — the frozenset bridge the packed path is differentially
-certified against (``tests/ho/test_bridge_differential.py``).
+``bitset=False`` on the containment checks — the frozenset path the packed
+one is differentially certified against
+(``tests/ho/test_bridge_differential.py``).  Exploration has one engine,
+so both configurations of ``uniform-voting-n3`` run the same packed DFS.
 
 Three workloads exercise the three layers of :mod:`repro.ho`:
 
@@ -46,7 +48,7 @@ CONTAINMENT_PAIRS = [
 
 
 def _explore_uniform_voting(bitset: bool) -> dict:
-    result = explore("ho-uniform-voting", n=N, bitset=bitset)
+    result = explore("ho-uniform-voting", n=N)  # one engine for both configs
     assert result.ok, result.summary()
     return {"histories": result.histories, "separations": 0}
 

@@ -1,24 +1,22 @@
-"""E25 — scale-out certification: work-stealing vs static frontier split.
+"""E25 — scale-out certification: work stealing and disk-backed BFS.
 
-The scale layer (:mod:`repro.check.scale`) replaces the static round-1
-round-robin split with a worker-count-independent task decomposition
-(``TARGET_TASKS`` tasks from a multi-depth frontier, deduped by orbit
-before sharding), a cross-worker shared transposition table
-(``SharedMemoTable``: the builder pre-seeds it, workers publish decided
-subtrees), and a disk-backed BFS mode whose frontier spills to pickle
-segments with checkpoint/resume.
+The scale layer (:mod:`repro.check.scale`) is the one parallel task
+runtime: a worker-count-independent task decomposition (``TARGET_TASKS``
+tasks from a multi-depth frontier, deduped by orbit before sharding), a
+cross-worker shared transposition table (``SharedMemoTable``: the builder
+pre-seeds it, workers publish decided subtrees), and a disk-backed BFS
+mode whose frontier spills to pickle segments with checkpoint/resume.
 
-Expected shape: the static split pays the frontier imbalance — on ``kset``
-n=5 pruned (1 009 981 histories) one shard dominates while siblings idle —
-and re-derives every shared prefix per worker.  Work stealing keeps all
-workers busy to the end and the shared table turns the builder's interior
-walk into cross-worker cache hits, so ``steal-4w`` beats ``static-4w``
-even on a single-core box (the win is eliminated work, not concurrency).
-The PR-7 baseline for this exact workload was 136 s; the acceptance bar is
-≥2×, the committed artifact records ~8×.  Schedulers agree exactly on
-histories/executions/pruned and the violation set (differentially tested
-in ``tests/check/test_scale.py``); ``visited``/``rounds_executed`` are
-scheduler-dependent work counters and are deliberately not compared here.
+Expected shape: work stealing keeps all workers busy to the end and the
+shared table turns the builder's interior walk into cross-worker cache
+hits.  The PR-7 baseline for ``kset`` n=5 pruned (1 009 981 histories),
+a static round-1 frontier split, was 136 s; the acceptance bar is ≥2×
+(≤68 s), the committed artifact records ~8×.  ``steal-1w`` runs the same
+task list in-process, so its counts equal ``steal-4w``'s exactly.
+Schedulers agree exactly on histories/executions/pruned and the
+violation set (differentially tested in ``tests/check/test_scale.py``);
+``visited``/``rounds_executed`` are scheduler-dependent work counters and
+are deliberately not compared here.
 
 ``shared_hits`` is environmental (zero when ``/dev/shm`` is unavailable
 and the pool falls back to per-worker memos), so it is volatile in the
@@ -40,9 +38,6 @@ WORKLOADS = {
 }
 
 CONFIGS = {
-    # The PR-7 baseline: shard the round-1 frontier round-robin, one chunk
-    # per worker, no work sharing after the split.
-    "static-4w": dict(workers=4, scheduler="static"),
     # Work stealing in-process (no pool): the builder memo plays the shared
     # table's role.  One cell so the artifact records the serial floor.
     "steal-1w": dict(workers=1, scheduler="steal"),
@@ -53,8 +48,8 @@ CONFIGS = {
     "bfs-4w": dict(workers=4, bfs=True),
 }
 
-# kset n=5 is the headline cell; keep its grid row to the two configs the
-# acceptance criterion compares so `regen_bench --check` stays affordable.
+# kset n=5 is the headline cell; keep its grid row to the one config the
+# acceptance criterion reads so `regen_bench --check` stays affordable.
 GRID = [
     (w, c)
     for w in WORKLOADS
@@ -93,7 +88,7 @@ def run_cell(ctx) -> dict:
 EXPERIMENT = Experiment(
     id="E25",
     title="E25 (extension): scale-out certification — work-stealing "
-    "scheduler and shared transposition table vs static frontier split",
+    "scheduler, shared transposition table and disk-backed BFS",
     grid=Grid.explicit("workload,config", GRID),
     run_cell=run_cell,
     samples=1,  # the n=5 cells are wall-clock heavy; counts are exact
@@ -110,12 +105,11 @@ EXPERIMENT = Experiment(
     ),
     notes="Schedulers agree exactly on histories/executions/pruned and the "
     "violation set; shared_hits is environmental (volatile in the "
-    "artifact).  PR-7 static baseline for kset-n5-pruned: 136 s.",
+    "artifact).  PR-7 static-split baseline for kset-n5-pruned: 136 s.",
 )
 
 
-@pytest.mark.parametrize("config", ["static-4w", "steal-1w", "steal-4w",
-                                    "bfs-4w"])
+@pytest.mark.parametrize("config", ["steal-1w", "steal-4w", "bfs-4w"])
 def test_e25_cell_counts(benchmark, config):
     cell = benchmark.pedantic(
         run_one_cell, args=(EXPERIMENT,),
@@ -124,10 +118,7 @@ def test_e25_cell_counts(benchmark, config):
     )
     assert cell["histories"] == 4235
     assert cell["executions"] == 4235
-    # The static split predates the scale layer and records no task
-    # decomposition; every scale-layer scheduler does.
-    if config != "static-4w":
-        assert cell["tasks"] > 0
+    assert cell["tasks"] > 0
 
 
 def test_e25_schedulers_agree(benchmark):
@@ -143,15 +134,13 @@ def test_e25_schedulers_agree(benchmark):
         }
 
     cells = benchmark.pedantic(run_small, rounds=1, iterations=1)
-    base = cells["static-4w"]
+    base = cells["steal-4w"]
     for config, cell in cells.items():
         assert cell["histories"] == base["histories"], config
         assert cell["executions"] == base["executions"], config
         assert cell["pruned"] == base["pruned"], config
-    # Work stealing decomposes independently of the worker count; the
-    # static split records no task decomposition at all.
+    # Work stealing decomposes independently of the worker count.
     assert cells["steal-4w"]["tasks"] == cells["steal-1w"]["tasks"]
-    assert base["tasks"] == 0
 
 
 def test_e25_report(benchmark):

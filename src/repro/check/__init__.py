@@ -7,11 +7,12 @@ this package checks that quantifier uniformly instead of piecemeal:
   factory, a model predicate, an input space and trace invariants; the
   registry maps names to the library's specs (:mod:`repro.check.specs`).
 - :mod:`repro.check.explore` — bounded model checking (exhaustive for small
-  ``n``, with decided-prefix pruning and a parallel round-1 frontier) and
-  seeded fuzzing for larger ``n``.
+  ``n``, with decided-prefix pruning; ``engine="replay"`` is the
+  differential oracle) and seeded fuzzing for larger ``n``.
 - :mod:`repro.check.engine` — the incremental exploration engine behind
-  ``explore(engine="incremental")``: executor forking (one protocol round
-  per tree edge), candidate memoization and orbit-level symmetry reduction.
+  ``explore(engine="incremental")``: one packed DFS for every predicate,
+  executor forking (one protocol round per tree edge), candidate
+  memoization and orbit-level symmetry reduction.
 - :mod:`repro.check.scale` — the scale-out layer: the work-stealing task
   scheduler behind ``explore(workers=...)``, the cross-worker shared
   transposition table, and disk-backed BFS certification with

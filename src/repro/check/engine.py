@@ -1,26 +1,35 @@
 """Incremental exploration engine: fork executors instead of replaying.
 
-The replay-based checker (:mod:`repro.check.explore`'s legacy path) pays
-``O(len(h))`` protocol rounds per history ``h``: every leaf of the
-admissible-history tree re-executes the protocol from round 1.  Over a tree
-with ``E`` edges that is ``O(E · depth)`` rounds.  This engine instead keeps
-one live :class:`~repro.core.executor.RoundExecutor` per DFS path and
-**forks** it at branch points (:meth:`RoundExecutor.fork` — process states
-copied via :meth:`~repro.core.algorithm.RoundProcess.copy`, per-round trace
-records shared), so each tree edge costs exactly one protocol round:
-``O(E)`` total, with three further reductions layered on top:
+The replay-based checker (:func:`repro.check.explore.explore` with
+``engine="replay"``) pays ``O(len(h))`` protocol rounds per history ``h``:
+every leaf of the admissible-history tree re-executes the protocol from
+round 1.  Over a tree with ``E`` edges that is ``O(E · depth)`` rounds.
+This engine instead keeps one live :class:`~repro.core.executor.RoundExecutor`
+per DFS path and **forks** it at branch points (:meth:`RoundExecutor.fork` —
+process states copied via :meth:`~repro.core.algorithm.RoundProcess.copy`,
+per-round trace records shared), so each tree edge costs exactly one
+protocol round: ``O(E)`` total, with three further reductions layered on
+top:
 
 - **move semantics** — the child explored last consumes its parent's
   executor outright, saving one fork per interior node;
 - **decided-subtree sharing** — once every process has decided, the
-  executor stops stepping (matching the legacy ``stop_when_all_decided``
+  executor stops stepping (matching the replay ``stop_when_all_decided``
   truncation), so an entire decided subtree shares one executor and one
   trace *object*, which lets callers memoize invariant checks by trace
-  identity;
-- **candidate memoization** — ``admissible_rounds`` enumeration is cached
-  per :meth:`~repro.core.predicate.Predicate.extension_state` summary, so
-  e.g. a per-round predicate (``extension_state() == ()``) enumerates its
-  ``(2^n)^n`` candidate families exactly once per run.
+  identity; with symmetry off such a subtree is counted by DP and yielded
+  as one aggregated run;
+- **candidate memoization** — admissible next rounds are enumerated by the
+  predicate's packed kernel (:meth:`~repro.core.predicate.Predicate.packed`)
+  and cached per folded kernel state, so e.g. a per-round predicate (state
+  ``()``) enumerates its candidate families exactly once per run.
+
+Every predicate runs on this one packed path.  Catalog predicates ship a
+bit-op :class:`~repro.core.predicate.FastPackedPredicate`; any other
+predicate reaches the engine through the
+:class:`~repro.core.predicate.PackedPredicate` bridge, whose state is the
+packed history itself and whose candidate lists are memoized per set-side
+``extension_state``.  Both yield identical histories in identical order.
 
 Symmetry reduction (optional).  A permutation ``π`` of process ids acts on
 a node ``(inputs, h)`` by ``(π·inputs)(π(i)) = inputs(i)`` and
@@ -50,16 +59,13 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterator, NamedTuple, Sequence
 
 from repro import obs
-from repro.analysis.adversary_search import (
-    NoAdmissibleExtension,
-    admissible_rounds,
-)
+from repro.analysis.adversary_search import NoAdmissibleExtension
 from repro.core.adversary import Adversary
 from repro.core.algorithm import Protocol
 from repro.core.executor import RoundExecutor
 from repro.core.predicate import Predicate
 from repro.core.types import DHistory, DRound, ExecutionTrace, PackedDHistory
-from repro.util.bitset import BitsetDomain, domain as bitset_domain
+from repro.util.bitset import BitsetDomain
 
 __all__ = [
     "MAX_SYMMETRY_N",
@@ -85,14 +91,9 @@ class EngineStats:
     skipped_symmetric: int = 0  # subtree roots cut by the transposition table
     rounds_executed: int = 0  # protocol rounds stepped = tree edges paid for
     forks: int = 0  # executor forks (edges minus moves minus shared)
-    memo_hits: int = 0  # set-keyed candidate lists served from the memo
-    memo_misses: int = 0  # set-keyed candidate lists enumerated from scratch
-    # Packed-path twins: keys are int-tuple extension states, never
-    # frozensets.  Kept separate from the set-keyed counters so the
-    # obs-smoke job can confirm *which* representation a run actually used
-    # (a packed E22 run must show packed traffic and zero set traffic).
-    memo_hits_packed: int = 0  # packed-keyed candidate lists served from memo
-    memo_misses_packed: int = 0  # packed-keyed candidate lists enumerated
+    # Keys are folded packed-kernel states (int tuples, never frozensets).
+    memo_hits_packed: int = 0  # candidate lists served from the memo
+    memo_misses_packed: int = 0  # candidate lists enumerated (or loaded)
     aggregated_subtrees: int = 0  # decided subtrees counted without expansion
     # Cross-process memo traffic (repro.check.scale's shared table).  These
     # three are *environmental*: which worker computes a candidate list and
@@ -123,16 +124,16 @@ class EngineRun(NamedTuple):
     """One checked node: a full-depth history or a decided interior prefix.
 
     ``trace`` is byte-identical to what ``spec.run(inputs, history)`` would
-    produce (the executor truncates at all-decided exactly like the legacy
+    produce (the executor truncates at all-decided exactly like the replay
     runner) but may be *shared* between consecutive runs under a decided
     subtree — callers can memoize invariant checks via ``trace is last``.
 
-    On the packed path (symmetry off), an entire decided subtree whose
-    leaves all share this trace may arrive as a *single* run with
-    ``count`` set to the number of full-depth histories it stands for and
-    ``history`` the decided prefix; ``expand()`` lazily enumerates the
-    individual leaf histories in DFS order (callers only need them when
-    the shared trace fails an invariant).  Plain runs have ``count == 1``
+    With symmetry off, an entire decided subtree whose leaves all share
+    this trace may arrive as a *single* run with ``count`` set to the
+    number of full-depth histories it stands for and ``history`` the
+    decided prefix; ``expand()`` lazily enumerates the individual leaf
+    histories in DFS order (callers only need them when the shared trace
+    fails an invariant).  Plain runs have ``count == 1``
     and ``expand is None``.  (A NamedTuple rather than a dataclass: the
     engine creates one per visited node, and tuple construction is ~3×
     cheaper than a frozen dataclass — measurable at E22 node counts.)
@@ -169,7 +170,7 @@ class _CursorAdversary(Adversary):
         return d_round
 
 
-class _SymmetryTable:
+class _PackedSymmetryTable:
     """Transposition table over permutation orbits of ``(inputs, history)``.
 
     ``mode="exact"``: the inputs participate literally, so two nodes collide
@@ -179,84 +180,14 @@ class _SymmetryTable:
     labels (the ``kset`` distinct-inputs case, where the literal stabilizer
     is trivial and exact mode would prune nothing).
 
-    Per-``DRound`` permutation images are cached: the DFS re-encounters the
-    same few thousand families at every level, so image computation
-    amortizes to one pass per distinct family.
-    """
-
-    def __init__(self, inputs: tuple[Any, ...], mode: str) -> None:
-        if mode not in ("exact", "labels"):
-            raise ValueError(f"unknown symmetry mode {mode!r}")
-        n = len(inputs)
-        self.perms: list[tuple[int, ...]] = list(
-            itertools.permutations(range(n))
-        )
-        self._round_images: dict[DRound, tuple[tuple[Any, ...], ...]] = {}
-        input_pieces: list[tuple[Any, ...]] = []
-        for perm in self.perms:
-            image: list[Any] = [None] * n
-            for i, value in enumerate(inputs):
-                image[perm[i]] = value
-            if mode == "labels":
-                relabel: dict[Any, int] = {}
-                for value in image:
-                    if value not in relabel:
-                        relabel[value] = len(relabel)
-                input_pieces.append(tuple(relabel[v] for v in image))
-            else:
-                input_pieces.append(tuple(image))
-        self._input_pieces = input_pieces
-        self._seen: set[tuple[Any, ...]] = set()
-
-    def _images(self, d_round: DRound) -> tuple[tuple[Any, ...], ...]:
-        cached = self._round_images.get(d_round)
-        if cached is None:
-            n = len(d_round)
-            images = []
-            for perm in self.perms:
-                image: list[Any] = [None] * n
-                for i, suspected in enumerate(d_round):
-                    image[perm[i]] = tuple(sorted(perm[x] for x in suspected))
-                images.append(tuple(image))
-            cached = tuple(images)
-            self._round_images[d_round] = cached
-        return cached
-
-    def canonical(self, history: DHistory) -> tuple[Any, ...]:
-        """The orbit-minimal serialization of ``(inputs, history)``."""
-        per_round = [self._images(d_round) for d_round in history]
-        best: tuple[Any, ...] | None = None
-        for idx in range(len(self.perms)):
-            piece = (self._input_pieces[idx],) + tuple(
-                images[idx] for images in per_round
-            )
-            if best is None or piece < best:
-                best = piece
-        assert best is not None
-        return best
-
-    def claim(self, history: DHistory) -> bool:
-        """True iff this node's orbit is fresh (caller must explore it)."""
-        key = self.canonical(history)
-        if key in self._seen:
-            return False
-        self._seen.add(key)
-        return True
-
-
-class _PackedSymmetryTable:
-    """The transposition table of :class:`_SymmetryTable` over packed rounds.
-
     Claim decisions depend only on the orbit partition, not on how a
-    canonical representative is serialized, so this table makes *exactly*
-    the same claim/skip decisions as the set-based one for the same claim
-    sequence — the differential tests compare skip counts across the two.
-    What changes is the cost: per-round permutation images are ints
-    (computed once per distinct round through the domain's per-permutation
-    ``2^n`` mask maps), and canonicalization narrows the candidate
-    permutations level by level — first to those minimizing the input
-    piece (precomputed), then per round — instead of building all ``n!``
-    serializations.
+    canonical representative is serialized; the tests cross-check them
+    against a brute-force minimum over all ``n!`` images.  Per-round
+    permutation images are ints (computed once per distinct round through
+    the domain's per-permutation ``2^n`` mask maps), and canonicalization
+    narrows the candidate permutations level by level — first to those
+    minimizing the input piece (precomputed), then per round — instead of
+    building all ``n!`` serializations.
     """
 
     def __init__(self, inputs: tuple[Any, ...], mode: str, dom: BitsetDomain) -> None:
@@ -330,38 +261,27 @@ class _PackedSymmetryTable:
         return True
 
 
-# Stack-entry tags: how the popped node obtains its executor.
-_READY = 0  # executor already attached (root / resumed prefix)
-_EDGE = 1  # fork (or consume) the parent and step one staged round
-_SHARED = 2  # parent is all-decided: share its executor, step nothing
-
-
 class IncrementalExplorer:
     """Stateful DFS over admissible histories, one protocol round per edge.
 
     One instance is bound to a single ``(protocol, predicate, inputs)``
-    triple; :meth:`runs` may be called repeatedly (e.g. once per frontier
-    prefix in the parallel path) and shares the candidate memo, the
-    symmetry table and the :class:`EngineStats` across calls.
+    triple; :meth:`runs` may be called repeatedly (e.g. once per task
+    slice in the work-stealing scheduler) and shares the candidate memo,
+    the symmetry table and the :class:`EngineStats` across calls.
 
     Args:
         protocol: protocol factory output for this ``n``.
-        predicate: the model predicate (drives admissible extension).
+        predicate: the model predicate; the DFS runs on its packed kernel
+            (``predicate.packed()`` — a fast bit-op kernel or the bridge).
         inputs: the fixed input assignment explored by this instance.
         crashed_stop_emitting: executor crash semantics (from the spec).
         prune_decided: emit decided interior prefixes as (pruned) leaves
             instead of descending below them.
         max_d_size: per-process suspicion-set size cap for the enumerator.
         symmetry: ``None`` (off), ``"exact"`` or ``"labels"`` — see
-            :class:`_SymmetryTable`.  Silently disabled for the rest of the
-            run if canonicalization hits uncomparable/unhashable inputs.
-        bitset: route onto the packed (integer-bitmask) hot path when the
-            predicate provides a fast packed kernel
-            (``predicate.packed().fast``); otherwise — and always with
-            ``bitset=False`` — the set-based reference path runs.  Both
-            paths yield identical histories, violations and orbit skips;
-            the packed path may additionally aggregate decided subtrees
-            (symmetry off), which only changes ``visited`` accounting.
+            :class:`_PackedSymmetryTable`.  Silently disabled for the rest
+            of the run if canonicalization hits uncomparable/unhashable
+            inputs.
     """
 
     def __init__(
@@ -374,7 +294,6 @@ class IncrementalExplorer:
         prune_decided: bool = False,
         max_d_size: int | None = None,
         symmetry: str | None = None,
-        bitset: bool = True,
     ) -> None:
         self.protocol = protocol
         self.predicate = predicate
@@ -392,10 +311,7 @@ class IncrementalExplorer:
         # always consumed by the very next step() before control returns to
         # the DFS, so the staged slot never holds two rounds at once.
         self._cursor = _CursorAdversary(self.n)
-        self._candidates: dict[Any, list[DRound]] = {}
-        packed = predicate.packed() if bitset else None
-        self._packed = packed if packed is not None and packed.fast else None
-        self.bitset = self._packed is not None
+        self._packed = predicate.packed()
         self._packed_candidates: dict[Any, list[int]] = {}
         self._agg_counts: dict[Any, int] = {}
         #: Optional cross-process candidate-memo broadcast (duck-typed:
@@ -404,70 +320,21 @@ class IncrementalExplorer:
         #: their key, so serving one from another process can never change
         #: results — only skip a redundant enumeration.
         self.shared_memo: Any | None = None
-        self._table: _SymmetryTable | None = None
         self._packed_table: _PackedSymmetryTable | None = None
         if symmetry:
-            if self._packed is not None:
-                try:
-                    self._packed_table = _PackedSymmetryTable(
-                        self.inputs, symmetry, self._packed.domain
-                    )
-                except TypeError:
-                    # Uncomparable input values: the set-based table would
-                    # disable itself on first claim — match that (sound:
-                    # everything is explored).
-                    self._packed_table = None
-            else:
-                self._table = _SymmetryTable(self.inputs, symmetry)
+            try:
+                self._packed_table = _PackedSymmetryTable(
+                    self.inputs, symmetry, self._packed.domain
+                )
+            except TypeError:
+                # Uncomparable input values: no reduction (sound: everything
+                # is explored).
+                self._packed_table = None
 
     # ------------------------------------------------------------- internals
 
-    def _admissible(self, history: DHistory) -> list[DRound]:
-        """Candidate next rounds, memoized per extension-state summary."""
-        tracer = obs.current_tracer()
-        try:
-            key = self.predicate.extension_state(history)
-            cached = self._candidates.get(key)
-        except TypeError:  # unhashable summary: sound, just unmemoized
-            self.stats.memo_misses += 1
-            if tracer.enabled:
-                tracer.event("engine.memo_miss", depth=len(history))
-            return list(
-                admissible_rounds(
-                    self.predicate, history, max_d_size=self.max_d_size
-                )
-            )
-        if cached is None:
-            cached = list(
-                admissible_rounds(
-                    self.predicate, history, max_d_size=self.max_d_size
-                )
-            )
-            self._candidates[key] = cached
-            self.stats.memo_misses += 1
-            if tracer.enabled:
-                tracer.event(
-                    "engine.memo_miss", depth=len(history),
-                    candidates=len(cached),
-                )
-        else:
-            self.stats.memo_hits += 1
-            if tracer.enabled:
-                tracer.event("engine.memo_hit", depth=len(history))
-        return cached
-
-    def _claim(self, history: DHistory) -> bool:
-        """Transposition-table probe; disables itself on type errors."""
-        if self._table is None:
-            return True
-        try:
-            return self._table.claim(history)
-        except TypeError:  # uncomparable input values: fall back, stay sound
-            self._table = None
-            return True
-
     def _claim_packed(self, phistory: PackedDHistory) -> bool:
-        """Packed transposition-table probe; disables itself on type errors."""
+        """Transposition-table probe; disables itself on type errors."""
         table = self._packed_table
         if table is None:
             return True
@@ -482,10 +349,9 @@ class IncrementalExplorer:
     ) -> list[int]:
         """Packed candidate rounds, memoized per folded predicate state.
 
-        Unlike the set path there is no ``extension_state`` recomputation
-        per node — the DFS threads ``state`` through ``advance`` — and the
-        memo key is the state itself (ints/int tuples by construction, so
-        no unhashable escape hatch is needed).
+        The DFS threads ``state`` through ``advance``, so no node recomputes
+        a summary, and the memo key is the state itself (ints/int tuples by
+        construction, so no unhashable escape hatch is needed).
         """
         cached = self._packed_candidates.get(state)
         if cached is None:
@@ -529,9 +395,9 @@ class IncrementalExplorer:
 
         Returns ``None`` if any completion dead-ends: the caller then walks
         the subtree explicitly so :class:`NoAdmissibleExtension` is raised
-        at the DFS-first dead end, exactly like the set-based path.  Cache
-        hits count as packed memo hits — one aggregated subtree costs the
-        same memo traffic as one explicit ``_admissible`` probe.
+        at the DFS-first dead end, exactly like the replay enumerator.
+        Cache hits count as memo hits — one aggregated subtree costs the
+        same memo traffic as one explicit ``_admissible_packed`` probe.
         """
         if depth_left == 0:
             return 1
@@ -600,7 +466,7 @@ class IncrementalExplorer:
         )
         for d_round in prefix:
             if executor.trace.all_decided:
-                break  # legacy truncation: decided runs ignore later rounds
+                break  # replay truncation: decided runs ignore later rounds
             executor.adversary.stage(d_round)
             executor.step()
             self.stats.rounds_executed += 1
@@ -617,15 +483,15 @@ class IncrementalExplorer:
     ) -> Iterator[EngineRun]:
         """DFS below ``prefix``, yielding every node the checker must judge.
 
-        Yields, in exactly the legacy replay DFS order, an :class:`EngineRun`
-        for every full-depth admissible history (and, with
-        ``prune_decided``, for every decided interior prefix, flagged
-        ``pruned=True``).  Raises :class:`NoAdmissibleExtension` when a
-        reachable prefix dead-ends, like the replay enumerator.
+        Yields, in exactly the replay DFS order, an :class:`EngineRun` for
+        every full-depth admissible history (and, with ``prune_decided``,
+        for every decided interior prefix, flagged ``pruned=True``).
+        Raises :class:`NoAdmissibleExtension` when a reachable prefix
+        dead-ends, like the replay enumerator.
 
         ``prefix`` may be given packed (a tuple of round ints) — the
-        parallel path ships its round-1 frontier that way to keep chunk
-        payloads small at large ``n``.
+        scheduler ships task prefixes that way to keep payloads small at
+        large ``n``.
 
         ``restrict=(lo, hi)`` limits the walk to the children of ``prefix``
         at candidate indices ``lo:hi`` (in the enumerator's canonical
@@ -657,131 +523,19 @@ class IncrementalExplorer:
                     "restrict needs room below the prefix: "
                     f"prefix depth {len(prefix)} at rounds={rounds}"
                 )
+        packed = self._packed
+        dom = packed.domain
         if prefix and type(prefix[0]) is int:
-            prefix = bitset_domain(self.n).unpack_history(prefix)
+            prefix = dom.unpack_history(prefix)
         else:
             prefix = tuple(prefix)
-        if self._packed is not None:
-            yield from self._runs_packed(rounds, prefix, restrict)
-            return
         root = self._root_executor(prefix)
-        # Entries: (_READY, history, executor)
-        #        | (_EDGE, history, parent_executor, d_round, consume_parent)
-        #        | (_SHARED, history, executor)
-        stack: list[tuple[Any, ...]] = []
-        if restrict is None:
-            stack.append((_READY, prefix, root))
-        else:
-            lo, hi = restrict
-            trace = root.trace
-            if trace.all_decided and self.prune_decided and prefix:
-                raise ValueError(
-                    "restrict below an all-decided prefix with prune_decided: "
-                    "the prefix is a pruned leaf and has no task slices"
-                )
-            children = self._admissible(prefix)[lo:hi]
-            if trace.all_decided:
-                for index in range(len(children) - 1, -1, -1):
-                    stack.append((_SHARED, prefix + (children[index],), root))
-            else:
-                last = len(children) - 1
-                for index in range(last, -1, -1):
-                    d_round = children[index]
-                    stack.append(
-                        (_EDGE, prefix + (d_round,), root, d_round,
-                         index == last)
-                    )
-        tracer = obs.current_tracer()
-        while stack:
-            entry = stack.pop()
-            tag, history = entry[0], entry[1]
-            if tag == _EDGE:
-                if not self._claim(history):
-                    self.stats.skipped_symmetric += 1
-                    if tracer.enabled:
-                        tracer.event(
-                            "engine.symmetry_skip", depth=len(history)
-                        )
-                    continue
-                parent, d_round, consume = entry[2], entry[3], entry[4]
-                if consume:
-                    executor = parent  # last-popped child: move, don't copy
-                else:
-                    executor = parent.fork()
-                    self.stats.forks += 1
-                    if tracer.enabled:
-                        tracer.event("engine.fork", depth=len(history))
-                executor.adversary.stage(d_round)
-                executor.step()
-                self.stats.rounds_executed += 1
-            else:
-                executor = entry[2]
-                if tag == _SHARED and not self._claim(history):
-                    self.stats.skipped_symmetric += 1
-                    if tracer.enabled:
-                        tracer.event(
-                            "engine.symmetry_skip", depth=len(history)
-                        )
-                    continue
-            self.stats.visited += 1
-
-            trace = executor.trace
-            if len(history) == rounds:
-                yield EngineRun(history, trace, pruned=False)
-                continue
-            all_decided = trace.all_decided
-            if self.prune_decided and history and all_decided:
-                yield EngineRun(history, trace, pruned=True)
-                continue
-            children = self._admissible(history)
-            if not children:
-                raise NoAdmissibleExtension(self.predicate, history)
-            # Pushed in reverse so the LIFO pop yields siblings in candidate
-            # order — the same order as iter_admissible_histories, which
-            # keeps the two engines' violation lists byte-identical.
-            if all_decided:
-                # No process will absorb another view: the whole subtree
-                # shares this executor (and thus this trace object).
-                for index in range(len(children) - 1, -1, -1):
-                    stack.append(
-                        (_SHARED, history + (children[index],), executor)
-                    )
-            else:
-                last = len(children) - 1
-                for index in range(last, -1, -1):
-                    d_round = children[index]
-                    # The last candidate is pushed first, hence popped last:
-                    # it may consume the parent executor instead of forking.
-                    stack.append(
-                        (_EDGE, history + (d_round,), executor, d_round,
-                         index == last)
-                    )
-
-    # ------------------------------------------------------------ packed path
-
-    def _runs_packed(
-        self,
-        rounds: int,
-        prefix: DHistory,
-        restrict: tuple[int, int] | None = None,
-    ) -> Iterator[EngineRun]:
-        """The packed twin of the set-based DFS (identical yield order).
-
-        Differences are cost-only: candidate memoization is keyed on the
-        folded packed state (no per-node ``extension_state`` recomputation),
-        symmetry claims go through :class:`_PackedSymmetryTable`, and —
-        symmetry off, ``prune_decided`` off — a decided subtree is counted
-        by DP and yielded as one aggregated run instead of being walked.
-        """
-        packed = self._packed
-        root = self._root_executor(prefix)
-        phistory = packed.domain.pack_history(prefix)
+        phistory = dom.pack_history(prefix)
         state = packed.extension_state(phistory)
         tracer = obs.current_tracer()
         if restrict is None:
-            # The root is never claimed, matching the set path's _READY
-            # entries (parallel-mode prefixes were claimed by the parent
-            # process).
+            # The root is never claimed: task prefixes were claimed (or
+            # deduped) by whoever built the task.
             yield from self._packed_visit(
                 rounds, prefix, phistory, state, root, tracer
             )
@@ -789,58 +543,18 @@ class IncrementalExplorer:
         # Restrict mode: the child loop of _packed_visit over one slice of
         # the root's candidates, without the root's own visit/aggregation —
         # the root is shared by every task slice and accounted for by none.
-        lo, hi = restrict
-        trace = root.trace
-        depth = len(prefix)
-        all_decided = trace.all_decided
-        if all_decided and self.prune_decided and prefix:
+        if root.trace.all_decided and self.prune_decided and prefix:
             raise ValueError(
                 "restrict below an all-decided prefix with prune_decided: "
                 "the prefix is a pruned leaf and has no task slices"
             )
-        children = self._admissible_packed(state, depth, tracer)[lo:hi]
-        dom = packed.domain
-        visit = self._packed_visit
-        if all_decided:
-            for rint in children:
-                child_ph = phistory + (rint,)
-                if self._packed_table is not None and not self._claim_packed(
-                    child_ph
-                ):
-                    self.stats.skipped_symmetric += 1
-                    if tracer.enabled:
-                        tracer.event("engine.symmetry_skip", depth=depth + 1)
-                    continue
-                yield from visit(
-                    rounds, prefix + (dom.unpack_round(rint),), child_ph,
-                    packed.advance(state, rint), root, tracer,
-                )
-        else:
-            last = len(children) - 1
-            for index, rint in enumerate(children):
-                child_ph = phistory + (rint,)
-                if self._packed_table is not None and not self._claim_packed(
-                    child_ph
-                ):
-                    self.stats.skipped_symmetric += 1
-                    if tracer.enabled:
-                        tracer.event("engine.symmetry_skip", depth=depth + 1)
-                    continue
-                if index == last:
-                    child_exec = root  # last sibling: move, don't copy
-                else:
-                    child_exec = root.fork()
-                    self.stats.forks += 1
-                    if tracer.enabled:
-                        tracer.event("engine.fork", depth=depth + 1)
-                d_round = dom.unpack_round(rint)
-                child_exec.adversary.stage(d_round)
-                child_exec.step()
-                self.stats.rounds_executed += 1
-                yield from visit(
-                    rounds, prefix + (d_round,), child_ph,
-                    packed.advance(state, rint), child_exec, tracer,
-                )
+        lo, hi = restrict
+        children = self._admissible_packed(state, len(prefix), tracer)[lo:hi]
+        yield from self._packed_visit(
+            rounds, prefix, phistory, state, root, tracer, children
+        )
+
+    # ------------------------------------------------------------- DFS core
 
     def _packed_visit(
         self,
@@ -850,82 +564,78 @@ class IncrementalExplorer:
         state: object,
         executor: RoundExecutor,
         tracer: "obs.Tracer",
+        children: list[int] | None = None,
     ) -> Iterator[EngineRun]:
         """Visit one claimed node and its subtree (recursion depth ≤ rounds).
 
         The frame owns ``executor``: children fork it, except the last,
-        which consumes it (the move semantics of the stack-based walk).
+        which consumes it (move semantics).  Given ``children`` (restrict
+        mode), the node's own visit is skipped and only those children are
+        walked.  Children are walked in candidate order — the replay
+        enumerator's order, which keeps the engines' violation lists
+        byte-identical.
         """
-        self.stats.visited += 1
-        trace = executor.trace
         depth = len(history)
-        if depth == rounds:
-            yield EngineRun(history, trace)
-            return
-        all_decided = trace.all_decided
-        if all_decided:
-            if self.prune_decided:
-                if history:
-                    yield EngineRun(history, trace, pruned=True)
-                    return
-            elif self._packed_table is None:
-                count = self._subtree_count(
-                    state, depth, rounds - depth, tracer
-                )
-                if count is not None:
-                    self.stats.aggregated_subtrees += 1
-                    yield EngineRun(
-                        history, trace, False, count,
-                        self._make_expand(history, state, rounds - depth),
+        if children is None:
+            self.stats.visited += 1
+            trace = executor.trace
+            if depth == rounds:
+                yield EngineRun(history, trace)
+                return
+            shared = trace.all_decided
+            if shared:
+                if self.prune_decided:
+                    if history:
+                        yield EngineRun(history, trace, pruned=True)
+                        return
+                elif self._packed_table is None:
+                    count = self._subtree_count(
+                        state, depth, rounds - depth, tracer
                     )
-                    return
-                # A completion dead-ends somewhere below: walk explicitly so
-                # NoAdmissibleExtension fires at the DFS-first dead end.
-        children = self._admissible_packed(state, depth, tracer)
-        if not children:
-            raise NoAdmissibleExtension(self.predicate, history)
+                    if count is not None:
+                        self.stats.aggregated_subtrees += 1
+                        yield EngineRun(
+                            history, trace, False, count,
+                            self._make_expand(history, state, rounds - depth),
+                        )
+                        return
+                    # A completion dead-ends somewhere below: walk
+                    # explicitly so NoAdmissibleExtension fires at the
+                    # DFS-first dead end.
+            children = self._admissible_packed(state, depth, tracer)
+            if not children:
+                raise NoAdmissibleExtension(self.predicate, history)
+        else:
+            shared = executor.trace.all_decided
+        # Below an all-decided node no process will absorb another view, so
+        # the whole subtree shares ``executor`` (and thus one trace object)
+        # and steps nothing.
         packed = self._packed
         dom = packed.domain
         visit = self._packed_visit
-        if all_decided:
-            # No process will absorb another view: the whole subtree shares
-            # this executor (and thus this trace object).
-            for rint in children:
-                child_ph = phistory + (rint,)
-                if self._packed_table is not None and not self._claim_packed(
-                    child_ph
-                ):
-                    self.stats.skipped_symmetric += 1
-                    if tracer.enabled:
-                        tracer.event("engine.symmetry_skip", depth=depth + 1)
-                    continue
-                yield from visit(
-                    rounds, history + (dom.unpack_round(rint),), child_ph,
-                    packed.advance(state, rint), executor, tracer,
-                )
-        else:
-            last = len(children) - 1
-            for index, rint in enumerate(children):
-                child_ph = phistory + (rint,)
-                if self._packed_table is not None and not self._claim_packed(
-                    child_ph
-                ):
-                    self.stats.skipped_symmetric += 1
-                    if tracer.enabled:
-                        tracer.event("engine.symmetry_skip", depth=depth + 1)
-                    continue
-                if index == last:
-                    child_exec = executor  # last sibling: move, don't copy
-                else:
-                    child_exec = executor.fork()
-                    self.stats.forks += 1
-                    if tracer.enabled:
-                        tracer.event("engine.fork", depth=depth + 1)
-                d_round = dom.unpack_round(rint)
+        last = len(children) - 1
+        for index, rint in enumerate(children):
+            child_ph = phistory + (rint,)
+            if self._packed_table is not None and not self._claim_packed(
+                child_ph
+            ):
+                self.stats.skipped_symmetric += 1
+                if tracer.enabled:
+                    tracer.event("engine.symmetry_skip", depth=depth + 1)
+                continue
+            d_round = dom.unpack_round(rint)
+            if shared or index == last:
+                child_exec = executor  # shared, or last sibling: move
+            else:
+                child_exec = executor.fork()
+                self.stats.forks += 1
+                if tracer.enabled:
+                    tracer.event("engine.fork", depth=depth + 1)
+            if not shared:
                 child_exec.adversary.stage(d_round)
                 child_exec.step()
                 self.stats.rounds_executed += 1
-                yield from visit(
-                    rounds, history + (d_round,), child_ph,
-                    packed.advance(state, rint), child_exec, tracer,
-                )
+            yield from visit(
+                rounds, history + (d_round,), child_ph,
+                packed.advance(state, rint), child_exec, tracer,
+            )

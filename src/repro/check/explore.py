@@ -12,12 +12,12 @@ Two execution engines produce identical verdicts:
 - ``engine="incremental"`` (default) — the stateful DFS of
   :mod:`repro.check.engine`: executors are *forked* at branch points, so
   each tree edge costs one protocol round instead of replaying every
-  history from round 1, candidate generation is memoized per
-  ``Predicate.extension_state``, and (opt-in) permutation-equivalent
-  subtrees are cut by a transposition table.
+  history from round 1, candidate generation runs on the predicate's
+  packed kernel and is memoized per folded kernel state, and (opt-in)
+  permutation-equivalent subtrees are cut by a transposition table.
 - ``engine="replay"`` — the original enumerate-and-re-run path (via
   :func:`repro.analysis.adversary_search.admissible_rounds`); kept as the
-  oracle the incremental engine is differentially tested against, and used
+  differential oracle the incremental engine is tested against, and used
   automatically when the engine cannot apply (``rounds == 0``).
 
 Throughput levers for ``n = 4`` (where e.g. ``KSetDetector`` admits
@@ -28,14 +28,13 @@ Throughput levers for ``n = 4`` (where e.g. ``KSetDetector`` admits
   rounds (all registered task invariants; termination bounds are checked at
   decision time), and it collapses the depth-``r`` tree to near the
   depth-of-decision tree.
-- ``workers > 1`` shards the search across processes.  The default
-  scheduler is the work-stealing one of :mod:`repro.check.scale` (a fixed,
+- ``workers > 1`` shards the search across processes with the
+  work-stealing scheduler of :mod:`repro.check.scale` (a fixed,
   worker-count-independent task decomposition pulled dynamically by a
-  process pool, with a shared cross-worker candidate-memo table);
-  ``scheduler="static"`` keeps the legacy fixed round-robin split of the
-  round-1 frontier.  Either way a multi-task run requires a registered
-  spec (workers re-resolve it by name — specs close over lambdas and do
-  not pickle), and results are identical for every worker count.
+  process pool, with a shared cross-worker candidate-memo table).  A
+  multi-task run requires a registered spec (workers re-resolve it by
+  name — specs close over lambdas and do not pickle), and results are
+  identical for every worker count.
 - ``symmetry=True`` checks one representative per process-permutation
   orbit, for specs that declare a symmetry grade (see
   :class:`~repro.check.spec.ConformanceSpec`).  Off by default in the
@@ -49,9 +48,7 @@ predicate's constructive sampler, and scheduler-driven specs
 
 from __future__ import annotations
 
-import sys
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -60,16 +57,10 @@ from repro.analysis.adversary_search import (
     NoAdmissibleExtension,
     admissible_rounds,
 )
-from repro.check.engine import (
-    MAX_SYMMETRY_N,
-    EngineStats,
-    IncrementalExplorer,
-    _PackedSymmetryTable,
-    _SymmetryTable,
-)
+from repro.check.engine import MAX_SYMMETRY_N, EngineStats, IncrementalExplorer
 from repro.check.spec import ConformanceSpec, InvariantFailure, get_spec
 from repro.core.types import DHistory, ExecutionTrace
-from repro.harness.runner import _init_worker, resolve_workers
+from repro.harness.runner import resolve_workers
 from repro.util.rng import derive_seed, make_rng
 
 __all__ = ["Violation", "ExploreResult", "explore", "fuzz"]
@@ -108,11 +99,10 @@ class ExploreResult:
     elapsed: float = 0.0
     engine: str = "replay"  # "incremental" | "replay" (fuzz is replay-like)
     symmetry: bool = False  # was symmetry reduction in effect?
-    bitset: bool = False  # did the packed (integer-bitmask) hot path run?
     visited: int = 0  # DFS nodes expanded (incremental engine only)
     skipped_symmetric: int = 0  # subtree roots cut by the transposition table
     rounds_executed: int = 0  # protocol rounds stepped (incremental only)
-    scheduler: str = "serial"  # "serial" | "static" | "steal" | "bfs"
+    scheduler: str = "serial"  # "serial" | "steal" | "bfs"
     partial: bool = False  # a budget/cap stopped the search before exhaustion
     scale: dict[str, Any] = field(default_factory=dict)  # scheduler bookkeeping
     violations: list[Violation] = field(default_factory=list)
@@ -131,11 +121,7 @@ class ExploreResult:
             if self.symmetry
             else ""
         )
-        engine = (
-            self.engine
-            + ("+symmetry" if self.symmetry else "")
-            + ("+bitset" if self.bitset else "")
-        )
+        engine = self.engine + ("+symmetry" if self.symmetry else "")
         return (
             f"{self.spec}: {verdict} — {self.mode} [{engine}] n={self.n} "
             f"rounds={self.rounds}, {self.executions} executions over "
@@ -241,11 +227,11 @@ def _explore_incremental(
     contiguously by the DFS (no ``id()`` reuse hazard: the previous trace is
     still referenced while compared).
 
-    On the packed path a whole decided subtree may arrive as one aggregated
+    With symmetry off a whole decided subtree may arrive as one aggregated
     run (``count`` leaves, ``expand`` for their histories): counts roll
     straight into the totals, and only a failing shared trace pays for the
     leaf enumeration — one violation per leaf, byte-identical to the
-    set-based path's list.
+    replay engine's list.
     """
     last_trace: ExecutionTrace | None = None
     last_failures: list[InvariantFailure] = []
@@ -306,128 +292,6 @@ def _effective_symmetry(
     return spec.symmetry
 
 
-def _frontier_chunks(
-    frontier: list[Any], workers: int
-) -> list[list[Any]]:
-    """Round-robin depth-1 prefixes (set-based or packed) into chunks."""
-    chunks: list[list[Any]] = [[] for _ in range(workers)]
-    for i, prefix in enumerate(frontier):
-        chunks[i % workers].append(prefix)
-    return [c for c in chunks if c]
-
-
-def _explore_chunk(payload: dict[str, Any]) -> dict[str, Any]:
-    """Worker entry: resume the DFS below each frontier prefix in the chunk."""
-    return _explore_chunk_impl(get_spec(payload["spec"]), payload)
-
-
-def _explore_chunk_impl(
-    spec: ConformanceSpec, payload: dict[str, Any]
-) -> dict[str, Any]:
-    inputs = tuple(payload["inputs"])
-    n = payload["n"]
-    rounds = payload["rounds"]
-    max_violations = payload.get("max_violations")
-    result = ExploreResult(
-        spec=spec.name, n=n, rounds=rounds, mode="exhaustive"
-    )
-    engine_snapshot: dict[str, int] = {}
-
-    def work() -> None:
-        tracer = obs.current_tracer()
-        if tracer.enabled:
-            tracer.begin(
-                "check.chunk",
-                index=payload.get("index", 0),
-                prefixes=len(payload["prefixes"]),
-            )
-        try:
-            if payload["engine"] == "incremental":
-                # One explorer per chunk: the candidate memo and the
-                # (worker-local) transposition table are shared across the
-                # chunk's prefixes.
-                explorer = IncrementalExplorer(
-                    spec.protocol(n),
-                    spec.predicate(n),
-                    inputs,
-                    crashed_stop_emitting=spec.crashed_stop_emitting,
-                    prune_decided=payload["prune_decided"],
-                    max_d_size=payload["max_d_size"],
-                    symmetry=payload["symmetry"],
-                    bitset=payload.get("bitset", True),
-                )
-                result.bitset = explorer.bitset
-                for prefix in payload["prefixes"]:
-                    _explore_incremental(
-                        spec, explorer, inputs, n, rounds,
-                        result=result, prefix=prefix,
-                        max_violations=max_violations,
-                    )
-                    if (
-                        max_violations is not None
-                        and len(result.violations) >= max_violations
-                    ):
-                        break
-                _merge_stats(result, explorer.stats)
-                engine_snapshot.update(explorer.stats.snapshot())
-            else:
-                for prefix in payload["prefixes"]:
-                    _explore_serial(
-                        spec, inputs, n, rounds,
-                        prune_decided=payload["prune_decided"],
-                        max_d_size=payload["max_d_size"],
-                        result=result, prefix=prefix,
-                        max_violations=max_violations,
-                    )
-                    if (
-                        max_violations is not None
-                        and len(result.violations) >= max_violations
-                    ):
-                        break
-        finally:
-            tracer = obs.current_tracer()
-            if tracer.enabled:
-                tracer.end(
-                    "check.chunk",
-                    histories=result.histories,
-                    violations=len(result.violations),
-                )
-
-    part: dict[str, Any]
-    if payload.get("observe"):
-        # Chunk-local instruments: records and snapshots travel back to the
-        # parent, which splices them in deterministic payload order — the
-        # merged stream is the same whether this chunk ran in-process or in
-        # a pool worker.
-        local_tracer = obs.Tracer()
-        local_metrics = obs.Metrics()
-        with obs.tracing(local_tracer), obs.collecting(local_metrics):
-            work()
-        part = {
-            "records": list(local_tracer.records),
-            "dropped": local_tracer.dropped,
-            "metrics": local_metrics.snapshot(),
-        }
-    else:
-        work()
-        part = {}
-    part.update({
-        "executions": result.executions,
-        "histories": result.histories,
-        "pruned": result.pruned,
-        "bitset": result.bitset,
-        "visited": result.visited,
-        "skipped_symmetric": result.skipped_symmetric,
-        "rounds_executed": result.rounds_executed,
-        "engine_stats": engine_snapshot,
-        "violations": [
-            (v.inputs, v.history, [(f.invariant, f.message) for f in v.failures])
-            for v in result.violations
-        ],
-    })
-    return part
-
-
 def explore(
     spec: ConformanceSpec | str,
     *,
@@ -439,7 +303,6 @@ def explore(
     max_violations: int | None = None,
     engine: str = "incremental",
     symmetry: bool = False,
-    bitset: bool = True,
     scheduler: str | None = None,
     progress: bool = False,
     progress_interval: float = 5.0,
@@ -455,10 +318,10 @@ def explore(
             registered invariants).
         max_d_size: cap per-process suspicion-set size (passed through to
             the enumerator; dead ends raise rather than vanish).
-        workers: >1 splits the round-1 frontier across processes; the spec
-            must then be registered by name.
+        workers: >1 drains the work-stealing task list with a process
+            pool; the spec must then be registered by name.
         max_violations: stop early after this many violations.  Parallel
-            runs cancel outstanding chunks once the cap is reached and
+            runs cancel outstanding tasks once the cap is reached and
             truncate the merged list to the cap.
         engine: ``"incremental"`` (fork executors — see
             :mod:`repro.check.engine`) or ``"replay"`` (re-run each history
@@ -470,20 +333,14 @@ def explore(
             ``n ≤ MAX_SYMMETRY_N``); ``result.symmetry`` records whether it
             was in effect.  When on, ``histories``/``executions`` count
             orbit representatives, not raw histories.
-        bitset: allow the engine's packed (integer-bitmask) hot path when
-            the predicate provides a fast packed kernel; ``bitset=False``
-            forces the set-based reference path.  Verdicts, histories and
-            violations are identical either way — ``result.bitset`` records
-            whether the packed path actually ran.
-        scheduler: how parallel work is scheduled.  ``None`` (default) picks
-            the work-stealing scheduler of :mod:`repro.check.scale` whenever
-            it applies (``workers > 1``, or ``progress`` for an observable
-            in-process run); ``"steal"`` forces it even at ``workers=1`` —
-            the task decomposition is worker-count-independent, so the
-            in-process run is bit-identical to any pool run; ``"static"``
-            keeps the legacy fixed round-robin frontier split (the
-            differential baseline).  ``result.scheduler`` records what
-            actually ran.
+        scheduler: ``None`` (default) runs the work-stealing scheduler of
+            :mod:`repro.check.scale` whenever it applies (``workers > 1``,
+            or ``progress`` for an observable in-process run) and the plain
+            in-process DFS otherwise; ``"steal"`` forces the scheduler even
+            at ``workers=1`` — the task decomposition is
+            worker-count-independent, so the in-process run is
+            bit-identical to any pool run.  ``result.scheduler`` records
+            what actually ran.
         progress: emit periodic ``check.progress`` heartbeat events (obs
             tracer + stderr) during long certifications.  Heartbeats are
             environmental — timing-dependent — so they only appear when
@@ -499,10 +356,8 @@ def explore(
         raise ValueError(
             f"engine must be 'incremental' or 'replay', got {engine!r}"
         )
-    if scheduler not in (None, "static", "steal"):
-        raise ValueError(
-            f"scheduler must be 'static' or 'steal', got {scheduler!r}"
-        )
+    if scheduler not in (None, "steal"):
+        raise ValueError(f"scheduler must be None or 'steal', got {scheduler!r}")
     if not spec.supports_exhaustive:
         raise ValueError(
             f"spec {spec.name!r} is not a pure function of (inputs, "
@@ -536,14 +391,21 @@ def explore(
         result.inputs_checked = len(input_space)
 
         # The work-stealing scheduler applies whenever there is parallel (or
-        # heartbeat-observable) work and the caller did not pin "static";
-        # rounds == 0 always stays on the in-process replay path.
-        use_scale = (
-            rounds > 0
-            and scheduler != "static"
-            and (workers > 1 or progress or scheduler == "steal")
-        )
-        if rounds == 0 or (workers <= 1 and not use_scale):
+        # heartbeat-observable) work; rounds == 0 always stays on the
+        # in-process replay path.
+        if rounds > 0 and (workers > 1 or progress or scheduler == "steal"):
+            from repro.check.scale import run_steal
+
+            result.scheduler = "steal"
+            run_steal(
+                spec, input_space, n, rounds,
+                prune_decided=prune_decided, max_d_size=max_d_size,
+                workers=workers, result=result, engine=engine_used,
+                symmetry_mode=symmetry_mode, max_violations=max_violations,
+                engine_totals=engine_totals,
+                progress=progress, progress_interval=progress_interval,
+            )
+        else:
             for inputs in input_space:
                 if engine_used == "incremental":
                     explorer = IncrementalExplorer(
@@ -554,9 +416,7 @@ def explore(
                         prune_decided=prune_decided,
                         max_d_size=max_d_size,
                         symmetry=symmetry_mode,
-                        bitset=bitset,
                     )
-                    result.bitset = explorer.bitset
                     _explore_incremental(
                         spec, explorer, inputs, n, rounds,
                         result=result, max_violations=max_violations,
@@ -574,27 +434,6 @@ def explore(
                     and len(result.violations) >= max_violations
                 ):
                     break
-        elif use_scale:
-            from repro.check.scale import run_steal
-
-            result.scheduler = "steal"
-            run_steal(
-                spec, input_space, n, rounds,
-                prune_decided=prune_decided, max_d_size=max_d_size,
-                workers=workers, result=result, engine=engine_used,
-                symmetry_mode=symmetry_mode, max_violations=max_violations,
-                engine_totals=engine_totals, bitset=bitset,
-                progress=progress, progress_interval=progress_interval,
-            )
-        else:
-            result.scheduler = "static"
-            _explore_parallel(
-                spec, input_space, n, rounds,
-                prune_decided=prune_decided, max_d_size=max_d_size,
-                workers=workers, result=result, engine=engine_used,
-                symmetry_mode=symmetry_mode, max_violations=max_violations,
-                engine_totals=engine_totals, bitset=bitset,
-            )
     finally:
         tracer = obs.current_tracer()
         if tracer.enabled:
@@ -618,133 +457,6 @@ def explore(
     return result
 
 
-def _explore_parallel(
-    spec: ConformanceSpec,
-    input_space: list[tuple[Any, ...]],
-    n: int,
-    rounds: int,
-    *,
-    prune_decided: bool,
-    max_d_size: int | None,
-    workers: int,
-    result: ExploreResult,
-    engine: str,
-    symmetry_mode: str | None,
-    max_violations: int | None,
-    engine_totals: EngineStats,
-    bitset: bool = True,
-) -> None:
-    observe = (
-        obs.current_tracer().enabled or obs.current_metrics().enabled
-    )
-    # With a fast packed kernel the round-1 frontier is enumerated and
-    # shipped as packed round ints — identical candidates in identical
-    # order, but chunk payloads stay tuples of small ints instead of
-    # frozenset trees (the difference between MBs and GBs of pickle at
-    # thousands of round-1 families).  Workers unpack via the interned
-    # per-n domain; IncrementalExplorer.runs() accepts either form.
-    packed = (
-        spec.predicate(n).packed()
-        if bitset and engine == "incremental"
-        else None
-    )
-    if packed is not None and packed.fast:
-        base_frontier: list[Any] = [
-            (rint,)
-            for rint in packed.admissible_round_ints(
-                (), max_d_size=max_d_size
-            )
-        ]
-    else:
-        packed = None
-        base_frontier = [
-            (d_round,)
-            for d_round in admissible_rounds(
-                spec.predicate(n), (), max_d_size=max_d_size
-            )
-        ]
-    payloads: list[dict[str, Any]] = []
-    for inputs in input_space:
-        frontier = base_frontier
-        if symmetry_mode is not None:
-            # Orbit-dedupe the depth-1 frontier per input assignment (the
-            # orbit structure depends on the inputs' stabilizer).  Workers
-            # then prune deeper levels with their own local tables — local
-            # claims only ever skip in favour of a subtree the same worker
-            # fully explores, so the union of workers still covers every
-            # orbit.
-            if packed is not None:
-                try:
-                    ptable = _PackedSymmetryTable(
-                        inputs, symmetry_mode, packed.domain
-                    )
-                    frontier = [p for p in base_frontier if ptable.claim(p)]
-                except TypeError:
-                    pass  # uncomparable inputs: skip dedupe, stay sound
-            else:
-                table = _SymmetryTable(inputs, symmetry_mode)
-                frontier = [p for p in base_frontier if table.claim(p)]
-        for chunk in _frontier_chunks(frontier, workers):
-            payloads.append({
-                "spec": spec.name, "inputs": inputs, "n": n, "rounds": rounds,
-                "prune_decided": prune_decided, "max_d_size": max_d_size,
-                "prefixes": chunk, "engine": engine,
-                "symmetry": symmetry_mode, "max_violations": max_violations,
-                "index": len(payloads), "observe": observe,
-                "bitset": bitset,
-            })
-    # Record the workers *actually used*: never more than there are chunks,
-    # and never less than one.  A 1-chunk run skips the pool entirely.
-    used = max(1, min(workers, len(payloads)))
-    result.workers = used
-    parts: dict[int, dict[str, Any]] = {}
-    if used == 1:
-        violations_so_far = 0
-        for index, payload in enumerate(payloads):
-            parts[index] = _explore_chunk_impl(spec, payload)
-            violations_so_far += len(parts[index]["violations"])
-            if (
-                max_violations is not None
-                and violations_so_far >= max_violations
-            ):
-                break
-    else:
-        try:
-            registered = get_spec(spec.name)
-        except KeyError:
-            registered = None
-        if registered is not spec:
-            raise ValueError(
-                f"workers>1 needs a registered spec; {spec.name!r} is not "
-                "the registered instance (register it, or run with "
-                "workers=1)"
-            )
-        with ProcessPoolExecutor(
-            max_workers=used, initializer=_init_worker,
-            initargs=(list(sys.path),),
-        ) as pool:
-            futures = {
-                pool.submit(_explore_chunk, payload): index
-                for index, payload in enumerate(payloads)
-            }
-            pending = set(futures)
-            violations_so_far = 0
-            while pending:
-                done, pending = wait(pending, return_when=FIRST_COMPLETED)
-                for future in done:
-                    part = future.result()
-                    parts[futures[future]] = part
-                    violations_so_far += len(part["violations"])
-                if (
-                    max_violations is not None
-                    and violations_so_far >= max_violations
-                ):
-                    for future in pending:
-                        future.cancel()
-                    pending = set()
-    _merge_parts(spec, result, parts, engine_totals, max_violations)
-
-
 def _merge_parts(
     spec: ConformanceSpec,
     result: ExploreResult,
@@ -754,9 +466,9 @@ def _merge_parts(
 ) -> None:
     """Fold worker part dicts into ``result`` in payload-index order.
 
-    Shared by the static, work-stealing and BFS schedulers: merging in index
-    order — never completion order — is what keeps counters, violation lists
-    and absorbed event streams reproducible for any worker count.
+    Used by the work-stealing scheduler: merging in index order — never
+    completion order — is what keeps counters, violation lists and absorbed
+    event streams reproducible for any worker count.
     """
     tracer = obs.current_tracer()
     metrics = obs.current_metrics()
@@ -765,7 +477,6 @@ def _merge_parts(
         result.executions += part["executions"]
         result.histories += part["histories"]
         result.pruned += part["pruned"]
-        result.bitset = result.bitset or part.get("bitset", False)
         result.visited += part["visited"]
         result.skipped_symmetric += part["skipped_symmetric"]
         result.rounds_executed += part["rounds_executed"]

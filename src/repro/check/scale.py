@@ -1,21 +1,19 @@
 """Scale-out certification: work stealing, a shared memo table, disk BFS.
 
-The static scheduler in :mod:`repro.check.explore` shards the *round-1*
-frontier round-robin and lets every worker rebuild its own candidate memo.
-That leaves three kinds of waste on the table, and this module removes all
-three while keeping the repo's determinism contract — byte-identical
-violation lists and history counts for every worker count:
+This module is the one parallel task runtime behind
+:func:`repro.check.explore.explore` and :func:`explore_bfs`.  It keeps the
+repo's determinism contract — byte-identical violation lists and history
+counts for every worker count — with three mechanisms:
 
 - **Work stealing over a fixed task decomposition** (:func:`run_steal`).
   The frontier is cut into a worker-count-*independent* list of tasks
   (about :data:`TARGET_TASKS` per input assignment), and a process pool
   pulls them dynamically.  When the round-1 frontier is smaller than the
-  worker count — the case that silently serialized the static path — the
-  builder expands *deeper* levels until there is enough parallelism
-  (:func:`_expand_tasks`), so small-``n`` high-worker runs reach full
-  utilization.  Tasks are merged in task-index order, never completion
-  order, so counters, violations and absorbed event streams are identical
-  at ``--workers 1/2/4``.
+  wanted task count, the builder expands *deeper* levels until there is
+  enough parallelism (:func:`_expand_tasks`), so small-``n``
+  high-worker runs reach full utilization.  Tasks are merged in
+  task-index order, never completion order, so counters, violations and
+  absorbed event streams are identical at ``--workers 1/2/4``.
 
 - **A shared cross-worker transposition table**
   (:class:`SharedMemoTable`): an open-addressing fingerprint index over
@@ -34,10 +32,10 @@ violation lists and history counts for every worker count:
   --checkpoint DIR`` / ``--resume``), for certifications whose frontier
   outgrows memory or whose wall-clock outgrows a single sitting.  The
   checkpoint format is ``rrfd-checkpoint-v1``: a JSON manifest (rewritten
-  atomically after every completed task) plus pickle segment/result
-  files; interrupted runs return ``result.partial`` and resume exactly
-  where they stopped, converging to the same counts and violation set as
-  an uninterrupted run.
+  atomically and durably after every completed task) plus pickle
+  segment/result files; interrupted runs return ``result.partial`` and
+  resume exactly where they stopped, converging to the same counts and
+  violation set as an uninterrupted run.
 
 The per-leaf hot path is :class:`_LeafStepper`: at a fixed parent
 executor, a child's post-round view and decision depend only on
@@ -67,11 +65,7 @@ from repro.analysis.adversary_search import (
     NoAdmissibleExtension,
     admissible_rounds,
 )
-from repro.check.engine import (
-    IncrementalExplorer,
-    _PackedSymmetryTable,
-    _SymmetryTable,
-)
+from repro.check.engine import IncrementalExplorer, _PackedSymmetryTable
 from repro.check.explore import (
     ExploreResult,
     Violation,
@@ -494,26 +488,21 @@ def _expand_tasks(
 ) -> int:
     """Recursively shard a small subtree into about ``budget`` tasks.
 
-    Used when a frontier level has fewer candidates than wanted tasks (the
-    static scheduler's idle-worker bug): undecided interior children are
-    stepped once to identify them and recursed into with a split budget,
-    while leaf/decided children are bundled into contiguous ranges, all
-    emitted in DFS child order.  Deterministic — it never looks at the
+    Used when a frontier level has fewer candidates than wanted tasks (a
+    round-1-only split would leave workers idle): undecided interior
+    children are stepped once to identify them and recursed into with a
+    split budget, while leaf/decided children are bundled into contiguous
+    ranges, all emitted in DFS child order.  Deterministic — it never looks at the
     worker count — and the explorer is a builder scratchpad whose stats
     are discarded (scheduling overhead, not search work).
     """
     tracer = obs.current_tracer()
     packed = explorer._packed
+    dom = packed.domain
     depth = len(prefix)
     depth_seen[0] = max(depth_seen[0], depth + 1)
-    if packed is not None:
-        dom = packed.domain
-        state = packed.extension_state(dom.pack_history(prefix))
-        children: list[Any] = explorer._admissible_packed(
-            state, depth, tracer
-        )
-    else:
-        children = explorer._admissible(prefix)
+    state = packed.extension_state(dom.pack_history(prefix))
+    children = explorer._admissible_packed(state, depth, tracer)
     count = len(children)
     if count == 0:
         raise NoAdmissibleExtension(explorer.predicate, prefix)
@@ -529,9 +518,7 @@ def _expand_tasks(
     interior: list[bool] = []
     child_rounds: list[DHistory] = []
     for child in children:
-        d_round = (
-            packed.domain.unpack_round(child) if packed is not None else child
-        )
+        d_round = dom.unpack_round(child)
         child_rounds.append(d_round)
         fork = root.fork()
         fork.adversary.stage(d_round)
@@ -573,7 +560,6 @@ def _build_tasks(
     max_d_size: int | None,
     engine: str,
     symmetry_mode: str | None,
-    bitset: bool,
     max_violations: int | None,
     observe: bool,
 ) -> tuple[list[dict[str, Any]], _WorkerMemo, int, int]:
@@ -581,15 +567,14 @@ def _build_tasks(
 
     Task kinds: ``("list", [prefix, ...])`` — resume the DFS below each
     prefix (symmetry shards and the replay engine); ``("range", parent,
-    lo, hi)`` — the slice ``[lo:hi)`` of ``parent``'s candidate list
-    (packed fast path).  With symmetry on, the depth-1 frontier is
+    lo, hi)`` — the slice ``[lo:hi)`` of the packed ``parent``'s
+    candidate list.  With symmetry on, the depth-1 frontier is
     orbit-deduped *globally* here, before sharding — workers then only
     need task-local tables for deeper levels; the orbits cut here are
     returned as the fourth element so ``skipped_symmetric`` still matches
-    the serial walk (the static split drops them).  Candidate lists
-    enumerated while building land in ``builder_memo`` and pre-seed the
-    shared table, so every pool worker's first probe is a cross-worker
-    hit.
+    the serial walk.  Candidate lists enumerated while building land in
+    ``builder_memo`` and pre-seed the shared table, so every pool
+    worker's first probe is a cross-worker hit.
     """
     payloads: list[dict[str, Any]] = []
     builder_memo = _WorkerMemo(None)
@@ -602,7 +587,6 @@ def _build_tasks(
             "prune_decided": prune_decided, "max_d_size": max_d_size,
             "engine": engine, "symmetry": symmetry_mode,
             "max_violations": max_violations, "observe": observe,
-            "bitset": bitset,
         }
 
         def add(task: tuple[Any, ...], base: dict[str, Any] = base) -> None:
@@ -630,38 +614,22 @@ def _build_tasks(
             prune_decided=prune_decided,
             max_d_size=max_d_size,
             symmetry=None,
-            bitset=bitset,
         )
         explorer.shared_memo = builder_memo
-        tracer = obs.current_tracer()
-        if explorer.bitset:
-            packed = explorer._packed
-            state0 = packed.extension_state(())
-            candidates: list[Any] = explorer._admissible_packed(
-                state0, 0, tracer
-            )
-        else:
-            candidates = explorer._admissible(())
+        dom = explorer._packed.domain
+        candidates = explorer._admissible_packed(
+            explorer._packed.extension_state(()), 0, obs.current_tracer()
+        )
         if not candidates:
             raise NoAdmissibleExtension(explorer.predicate, ())
         if symmetry_mode is not None:
-            if explorer.bitset:
-                try:
-                    table = _PackedSymmetryTable(
-                        inputs, symmetry_mode, explorer._packed.domain
-                    )
-                    frontier: list[Any] = [
-                        (rint,) for rint in candidates if table.claim((rint,))
-                    ]
-                except TypeError:  # uncomparable inputs: no dedupe, sound
-                    frontier = [(rint,) for rint in candidates]
-            else:
-                table = _SymmetryTable(inputs, symmetry_mode)
+            try:
+                table = _PackedSymmetryTable(inputs, symmetry_mode, dom)
                 frontier = [
-                    (d_round,)
-                    for d_round in candidates
-                    if table.claim((d_round,))
+                    (rint,) for rint in candidates if table.claim((rint,))
                 ]
+            except TypeError:  # uncomparable inputs: no dedupe, sound
+                frontier = [(rint,) for rint in candidates]
             builder_skipped += len(candidates) - len(frontier)
             for chunk in _contiguous_chunks(frontier, TARGET_TASKS):
                 add(("list", chunk))
@@ -674,16 +642,10 @@ def _build_tasks(
 
         def emit(
             prefix: DHistory, lo: int, hi: int,
-            explorer: IncrementalExplorer = explorer,
             add: Callable[..., None] = add,
+            pack: Callable[[DHistory], tuple[int, ...]] = dom.pack_history,
         ) -> None:
-            if explorer.bitset:
-                parent: tuple[Any, ...] = (
-                    explorer._packed.domain.pack_history(prefix)
-                )
-            else:
-                parent = tuple(prefix)
-            add(("range", parent, lo, hi))
+            add(("range", pack(prefix), lo, hi))
 
         _expand_tasks(explorer, rounds, (), TARGET_TASKS, emit, depth_seen)
     return payloads, builder_memo, depth_seen[0], builder_skipped
@@ -727,33 +689,24 @@ def _run_range(
     result: ExploreResult,
     max_violations: int | None,
 ) -> None:
-    """Check slice ``[lo:hi)`` of ``parent``'s candidate list.
+    """Check slice ``[lo:hi)`` of the packed ``parent``'s candidate list.
 
-    Fast path (packed kernel, no symmetry): leaf children — depth-``rounds``
-    or decided-under-prune — go through the :class:`_LeafStepper`; maximal
-    runs of interior children are batched into single engine ``restrict``
-    walks.  Violations appear in exactly the DFS order, and histories /
-    executions / pruned match the engine walk one for one.
+    Leaf children — depth-``rounds`` or decided-under-prune — go through
+    the :class:`_LeafStepper`; maximal runs of interior children are
+    batched into single engine ``restrict`` walks.  Violations appear in
+    exactly the DFS order, and histories / executions / pruned match the
+    engine walk one for one.
     """
     packed = explorer._packed
-    if (
-        packed is None
-        or explorer._packed_table is not None
-        or explorer._table is not None
-    ):
-        prefix = tuple(parent)
+    dom = packed.domain
+    phist = tuple(parent)
+    prefix = dom.unpack_history(phist)
+    if explorer._packed_table is not None:
         _explore_incremental(
             spec, explorer, inputs, n, rounds, result=result,
             prefix=prefix, restrict=(lo, hi), max_violations=max_violations,
         )
         return
-    dom = packed.domain
-    if parent and isinstance(parent[0], int):
-        phist = tuple(parent)
-        prefix = dom.unpack_history(phist)
-    else:
-        prefix = tuple(parent)
-        phist = dom.pack_history(prefix)
     depth = len(prefix)
     depth_leaf = depth + 1 == rounds
     if not depth_leaf and not explorer.prune_decided:
@@ -820,7 +773,7 @@ def _run_range(
 def _scale_task_impl(
     spec: ConformanceSpec, payload: dict[str, Any], shared: _WorkerMemo
 ) -> dict[str, Any]:
-    """Run one task; the part dict mirrors ``_explore_chunk_impl`` exactly.
+    """Run one task and return its mergeable part dict.
 
     A fresh explorer per task keeps every deterministic counter and event
     a function of the task alone (a warm memo carried across tasks would
@@ -853,10 +806,8 @@ def _scale_task_impl(
                     prune_decided=payload["prune_decided"],
                     max_d_size=payload["max_d_size"],
                     symmetry=payload["symmetry"],
-                    bitset=payload.get("bitset", True),
                 )
                 explorer.shared_memo = shared
-                result.bitset = explorer.bitset
                 before = explorer.stats.snapshot()
                 if task[0] == "list":
                     for prefix in task[1]:
@@ -926,7 +877,6 @@ def _scale_task_impl(
         "executions": result.executions,
         "histories": result.histories,
         "pruned": result.pruned,
-        "bitset": result.bitset,
         "visited": result.visited,
         "skipped_symmetric": result.skipped_symmetric,
         "rounds_executed": result.rounds_executed,
@@ -956,7 +906,6 @@ def run_steal(
     symmetry_mode: str | None,
     max_violations: int | None,
     engine_totals: Any,
-    bitset: bool = True,
     progress: bool = False,
     progress_interval: float = 5.0,
 ) -> None:
@@ -971,7 +920,7 @@ def run_steal(
     payloads, builder_memo, frontier_depth, builder_skipped = _build_tasks(
         spec, input_space, n, rounds,
         prune_decided=prune_decided, max_d_size=max_d_size, engine=engine,
-        symmetry_mode=symmetry_mode, bitset=bitset,
+        symmetry_mode=symmetry_mode,
         max_violations=max_violations, observe=observe,
     )
     result.skipped_symmetric += builder_skipped
@@ -1113,16 +1062,31 @@ def run_steal(
 # ---------------------------------------------------------------------------
 # disk-backed BFS with checkpoint/resume
 
-def _atomic_json(path: Path, doc: dict[str, Any]) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json.dumps(doc, indent=1, sort_keys=True))
-    os.replace(tmp, path)
+def _durable_write(path: Path, dump: Callable[[Any], None]) -> None:
+    """Write ``path`` atomically and durably via a fsynced temp file.
 
-def _atomic_pickle(path: Path, doc: Any) -> None:
+    The temp file is flushed and fsynced before ``os.replace``, and the
+    directory after it, so a crash leaves either the old file or the
+    complete new one — never a renamed-but-empty file.
+    """
     tmp = path.with_name(path.name + ".tmp")
     with open(tmp, "wb") as handle:
-        pickle.dump(doc, handle, protocol=4)
+        dump(handle)
+        handle.flush()
+        os.fsync(handle.fileno())
     os.replace(tmp, path)
+    fd = os.open(path.parent, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+def _atomic_json(path: Path, doc: dict[str, Any]) -> None:
+    data = json.dumps(doc, indent=1, sort_keys=True).encode()
+    _durable_write(path, lambda handle: handle.write(data))
+
+def _atomic_pickle(path: Path, doc: Any) -> None:
+    _durable_write(path, lambda handle: pickle.dump(doc, handle, protocol=4))
 
 def _bfs_fingerprint(
     spec: ConformanceSpec,
@@ -1180,14 +1144,9 @@ def _bfs_task_impl(
         prune_decided=payload["prune_decided"],
         max_d_size=payload["max_d_size"],
         symmetry=None,
-        bitset=True,
     )
     explorer.shared_memo = shared
     packed = explorer._packed
-    if packed is None:
-        raise RuntimeError(
-            "BFS worker needs the packed kernel (validated by explore_bfs)"
-        )
     dom = packed.domain
     tracer = obs.current_tracer()
     prune = explorer.prune_decided
@@ -1341,7 +1300,7 @@ def explore_bfs(
         raise ValueError("segment_size must be >= 1")
     predicate = spec.predicate(n)
     packed = predicate.packed()
-    if packed is None or not packed.fast:
+    if not packed.fast:
         raise ValueError(
             "disk-backed BFS needs the predicate's packed (bitset) kernel; "
             f"{spec.name!r} at n={n} has none"
@@ -1350,7 +1309,7 @@ def explore_bfs(
     dom = bitset_domain(n)
     result = ExploreResult(
         spec=spec.name, n=n, rounds=rounds, mode="exhaustive",
-        engine="incremental", bitset=True, scheduler="bfs",
+        engine="incremental", scheduler="bfs",
     )
     started = time.perf_counter()
     input_space = [tuple(i) for i in spec.exhaustive_inputs(n)]
@@ -1444,7 +1403,7 @@ def explore_bfs(
                 "input_index": task["input"],
                 "n": n, "rounds": rounds,
                 "prune_decided": prune_decided, "max_d_size": max_d_size,
-                "engine": "incremental", "symmetry": None, "bitset": True,
+                "engine": "incremental", "symmetry": None,
                 "dir": str(directory), "task_id": task["id"],
                 "level": task["level"], "seg": task["seg"],
                 "segment_size": segment_size,

@@ -220,12 +220,8 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--rounds", type=int, default=None,
                        help="history depth (default: per-spec)")
     check.add_argument("--workers", type=int, default=1,
-                       help="parallelize the exhaustive search")
-    check.add_argument("--scheduler", choices=("steal", "static"),
-                       default=None,
-                       help="parallel scheduler: work-stealing task pool "
-                       "(steal, default for workers>1) or the legacy "
-                       "static round-1 frontier split")
+                       help="parallelize the exhaustive search over a "
+                       "work-stealing task pool")
     check.add_argument("--progress", action="store_true",
                        help="emit a periodic check.progress heartbeat "
                        "(obs event + stderr line) during exhaustive runs")
@@ -258,10 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="disable symmetry reduction (on by default for "
                        "specs that declare a symmetry grade; disable for "
                        "full-strength per-history certification)")
-    check.add_argument("--no-bitset", action="store_true",
-                       help="force the set-based reference path instead of "
-                       "the packed integer-bitmask kernel (same verdicts; "
-                       "used for differential certification)")
     check.add_argument("--seed", type=int, default=0, help="fuzz seed")
     check.add_argument("--shrink", action="store_true",
                        help="delta-debug each violation to a minimal "
@@ -758,7 +750,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
                     spec, n=args.n, rounds=args.rounds,
                     prune_decided=args.prune_decided, workers=args.workers,
                     engine=args.engine, symmetry=not args.no_symmetry,
-                    bitset=not args.no_bitset, scheduler=args.scheduler,
                     progress=args.progress,
                 )
         print(result.summary())

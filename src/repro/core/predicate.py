@@ -130,15 +130,16 @@ class Predicate(ABC):
         return history
 
     def packed(self) -> "PackedPredicate":
-        """The packed (integer-bitmask) admissibility view of this model.
+        """The packed (integer-bitmask) admissibility kernel of this model.
 
-        The base implementation returns the *bridged reference path*: a
-        :class:`PackedPredicate` that unpacks every round and delegates to
-        the set-based methods — always sound, never fast.  Catalog
-        predicates override this to return a :class:`FastPackedPredicate`
-        whose clauses are pure bit operations; their overrides guard on
-        exact type so user subclasses with changed semantics fall back to
-        the bridge (and hence the set-based oracle) automatically.
+        The exploration engine runs every predicate through this view.  The
+        base implementation returns the *bridge*: a :class:`PackedPredicate`
+        that unpacks every round and delegates to the set-based methods —
+        always sound, never fast.  Catalog predicates override this to
+        return a :class:`FastPackedPredicate` whose clauses are pure bit
+        operations; their overrides guard on exact type so user subclasses
+        with changed semantics fall back to the bridge (and hence to their
+        own set semantics) automatically.
         """
         return PackedPredicate(self)
 
@@ -180,18 +181,19 @@ class Predicate(ABC):
 
 
 class PackedPredicate:
-    """Set-based reference semantics exposed over packed rounds.
+    """Set-based semantics exposed as an engine-ready packed kernel.
 
     This is the *bridge*: every query unpacks (through the interned
     per-``n`` tables of :mod:`repro.util.bitset`) and delegates to the
     owning :class:`Predicate`'s frozenset methods.  It is sound for any
-    predicate, including user subclasses the fast path knows nothing
-    about, and it doubles as the differential oracle the packed
-    implementations are tested against.
+    predicate, including user subclasses the fast kernels know nothing
+    about, and it is the oracle the fast kernels are tested against.
 
-    ``fast`` is False here; the exploration engine only routes onto the
-    packed hot path when ``predicate.packed().fast`` — everything else
-    keeps running the set-based reference implementation.
+    Its folded state is the packed history itself, so the exploration
+    engine runs it exactly like a fast kernel.  Candidate lists are
+    memoized per ``(predicate.extension_state(history), max_d_size)``, so
+    a tight set-side summary still collapses sibling enumerations.
+    ``fast`` is False: callers that need a bit-op kernel check it.
     """
 
     fast = False
@@ -200,14 +202,21 @@ class PackedPredicate:
         self.predicate = predicate
         self.n = predicate.n
         self.domain: BitsetDomain = bitset_domain(predicate.n)
+        self._candidates: dict[object, list[PackedDRound]] = {}
 
-    # -- queries over packed histories --------------------------------------
+    # -- state: the packed history itself ------------------------------------
+
+    def initial_state(self) -> object:
+        return ()
+
+    def advance(self, state: object, rint: PackedDRound) -> object:
+        return state + (rint,)
 
     def extension_state(self, packed_history: PackedDHistory) -> object:
-        """Hashable admissibility summary (see `Predicate.extension_state`)."""
-        return self.predicate.extension_state(
-            self.domain.unpack_history(packed_history)
-        )
+        """The engine's memo key: the packed history itself."""
+        return tuple(packed_history)
+
+    # -- queries over packed histories --------------------------------------
 
     def allows_extension(self, packed_history: PackedDHistory, rint: PackedDRound) -> bool:
         """Whether the packed round extends the packed history admissibly."""
@@ -221,22 +230,38 @@ class PackedPredicate:
         return self.predicate.allows(self.domain.unpack_history(packed_history))
 
     def admissible_round_ints(
-        self, packed_history: PackedDHistory, *, max_d_size: int | None = None
+        self,
+        packed_history: PackedDHistory,
+        *,
+        max_d_size: int | None = None,
+        state: object | None = None,
     ) -> list[PackedDRound]:
         """All admissible next rounds, packed, in canonical enumeration order.
 
         The order is exactly that of the set-based enumerator
         (``all_subset_families`` filtered by ``allows_extension``) — the
-        property the engine's differential tests pin down.
+        property the engine's differential tests pin down.  ``state`` (the
+        folded packed history) replaces ``packed_history`` when given.
         """
         dom = self.domain
-        history = dom.unpack_history(packed_history)
+        history = dom.unpack_history(
+            packed_history if state is None else state
+        )
         predicate = self.predicate
-        return [
-            dom.pack_round(family)
-            for family in all_subset_families(self.n, max_size=max_d_size)
-            if predicate.allows_extension(history, family)
-        ]
+        try:
+            key = (predicate.extension_state(history), max_d_size)
+            cached = self._candidates.get(key)
+        except TypeError:  # unhashable summary: sound, just unmemoized
+            key = cached = None
+        if cached is None:
+            cached = [
+                dom.pack_round(family)
+                for family in all_subset_families(self.n, max_size=max_d_size)
+                if predicate.allows_extension(history, family)
+            ]
+            if key is not None:
+                self._candidates[key] = cached
+        return cached
 
     def sample_round_int(
         self, rng: random.Random, packed_history: PackedDHistory
@@ -281,9 +306,6 @@ class FastPackedPredicate(PackedPredicate):
     fast = True
 
     # -- state -------------------------------------------------------------
-
-    def initial_state(self) -> object:
-        return ()
 
     def advance(self, state: object, rint: PackedDRound) -> object:
         return state

@@ -7,7 +7,7 @@ answers into replayable artifacts:
 
 - :func:`contains` decides ``A ⊆ B`` (every A-admissible HO collection is
   B-admissible) by exhaustive enumeration — through the packed suspicion
-  kernels when both predicates carry one (the PR-7 bitset fast path), or
+  kernels when both predicates carry one (the packed fast path), or
   through :func:`repro.core.submodel.implies_exhaustive` on the set path
   (``bitset=False``); the two modes are differentially equal.
 - :func:`equivalence` runs both directions and yields an
@@ -443,7 +443,6 @@ def find_separation(
     *,
     n: int,
     rounds: int = 2,
-    bitset: bool = True,
 ) -> ShrinkResult | None:
     """A shrunk separation witness for ``A ⊈ B``, or ``None`` if contained.
 
@@ -455,9 +454,7 @@ def find_separation(
     (:func:`repro.check.shrink.save_counterexample`).
     """
     spec = separation_spec(a, b, rounds=rounds)
-    result = explore(
-        spec, n=n, rounds=rounds, max_violations=1, bitset=bitset
-    )
+    result = explore(spec, n=n, rounds=rounds, max_violations=1)
     if result.ok:
         return None
     violation = result.violations[0]
@@ -564,9 +561,7 @@ def certify_all(
 
     separations: list[tuple[ShrinkResult, dict[str, Any]]] = []
     if n >= 3:  # at n = 2 pairwise intersection IS a global kernel
-        shrunk = find_separation(
-            "no-split", "global-kernel", n=n, rounds=rounds, bitset=bitset
-        )
+        shrunk = find_separation("no-split", "global-kernel", n=n, rounds=rounds)
         if shrunk is None:
             raise AssertionError(
                 f"no-split ⊆ global-kernel unexpectedly holds at n={n}"

@@ -18,20 +18,19 @@ process hears someone, if only itself).
 
 :class:`HOPredicate` mirrors :class:`repro.core.predicate.Predicate` clause
 for clause — membership, prefix extension, hashable extension state,
-constructive sampling, packed kernels — and every HO predicate exposes a
+constructive sampling — and every HO predicate exposes a
 :meth:`HOPredicate.suspicion` view: a genuine RRFD
 :class:`~repro.core.predicate.Predicate` whose admissible D-histories are
 the complements of the admissible HO collections.  The suspicion views of
 the catalog classes below carry :class:`~repro.core.predicate.FastPackedPredicate`
 kernels, so HO exploration (``ConformanceSpec.predicate = lambda n:
-ho(n).suspicion()``) rides the bitset engine's fast path unchanged; the
-HO-side :meth:`HOPredicate.packed` objects delegate through the packed
-complement (one XOR per round, :meth:`BitsetDomain.complement_round`).
+ho(n).suspicion()``) rides the packed engine's bit-op kernels unchanged.
+Packed HO rounds convert to packed D-rounds with one XOR per round
+(:meth:`BitsetDomain.complement_round`).
 
-Like the RRFD catalog, every ``packed()``/kernel override guards on exact
-type: subclasses with changed semantics fall back to the bridged set oracle
-automatically (the PR-7 contract, regression-tested in
-``tests/ho/test_bridge_differential.py``).
+Like the RRFD catalog, every kernel override guards on exact type:
+subclasses with changed semantics fall back to the bridged set semantics
+automatically (regression-tested in ``tests/ho/test_bridge_differential.py``).
 """
 
 from __future__ import annotations
@@ -40,21 +39,17 @@ import random
 from abc import ABC, abstractmethod
 
 from repro.core.predicate import FastPackedPredicate, PackedPredicate, Predicate
-from repro.core.types import DHistory, DRound, PackedDHistory, PackedDRound, ProcessId
-from repro.util.bitset import BitsetDomain, domain as bitset_domain
+from repro.core.types import DHistory, DRound, PackedDRound, ProcessId
+from repro.util.bitset import domain as bitset_domain
 from repro.util.sets import random_subset
 
 __all__ = [
     "HORound",
     "HOHistory",
-    "PackedHORound",
-    "PackedHOHistory",
     "to_suspicion",
     "from_suspicion",
     "HOPredicate",
     "HOSuspicionView",
-    "PackedHOPredicate",
-    "FastPackedHOPredicate",
     "HOConjunction",
     "HONonEmpty",
     "HOAtLeast",
@@ -73,10 +68,6 @@ __all__ = [
 HORound = tuple[frozenset[ProcessId], ...]
 # Heard-of collections across rounds: history[r-1] is the HORound of round r.
 HOHistory = tuple[HORound, ...]
-# Packed twins — the same n*n-bit layout as packed D-rounds (bit i*n + j set
-# ⇔ j ∈ HO(i)), so one XOR with the all-lanes mask converts between them.
-PackedHORound = int
-PackedHOHistory = tuple[int, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -169,27 +160,15 @@ class HOPredicate(ABC):
 
         ``view.allows(h) == self.allows(from_suspicion(h, n))`` — the lens
         through which the conformance kit (specs, explore, shrink, the
-        bitset engine) runs HO models without knowing about them.
+        packed engine) runs HO models without knowing about them.
         """
         return HOSuspicionView(self)
-
-    def packed(self) -> "PackedHOPredicate":
-        """The packed (integer-bitmask) admissibility view over HO rounds.
-
-        The base implementation is the *bridged reference path* — unpack
-        and delegate to the set-based methods, sound for any predicate and
-        the differential oracle for the fast kernels.  Catalog classes
-        override it (with an exact-type guard) to return a
-        :class:`FastPackedHOPredicate` that answers through the suspicion
-        kernel and one XOR per round.
-        """
-        return PackedHOPredicate(self)
 
     def _suspicion_kernel(self, view: "HOSuspicionView") -> PackedPredicate | None:
         """Fast packed kernel for the suspicion view, or ``None`` (bridge).
 
         Catalog overrides must guard on exact type, so subclasses with
-        changed semantics fall back to the set oracle.
+        changed semantics fall back to the bridged set semantics.
         """
         return None
 
@@ -264,72 +243,6 @@ class HOSuspicionView(Predicate):
 
     def describe(self) -> str:
         return f"D-view of {self.ho.describe()}"
-
-
-class PackedHOPredicate:
-    """Set-based reference semantics exposed over packed HO rounds.
-
-    The HO twin of :class:`repro.core.predicate.PackedPredicate`: every
-    query unpacks through the interned bitset tables and delegates to the
-    owning :class:`HOPredicate`'s frozenset methods.  ``fast`` is False —
-    this is the differential oracle the fast path is tested against.
-    """
-
-    fast = False
-
-    def __init__(self, ho: HOPredicate) -> None:
-        self.ho = ho
-        self.n = ho.n
-        self.domain: BitsetDomain = bitset_domain(ho.n)
-
-    def allows_history(self, packed_ho: PackedHOHistory) -> bool:
-        return self.ho.allows(self.domain.unpack_history(packed_ho))
-
-    def allows_extension(self, packed_ho: PackedHOHistory, rint: PackedHORound) -> bool:
-        return self.ho.allows_extension(
-            self.domain.unpack_history(packed_ho),
-            self.domain.unpack_round(rint),
-        )
-
-    def extension_state(self, packed_ho: PackedHOHistory) -> object:
-        return self.ho.extension_state(self.domain.unpack_history(packed_ho))
-
-
-class FastPackedHOPredicate(PackedHOPredicate):
-    """Fast packed HO kernel: complement once, answer in suspicion masks.
-
-    Wraps the predicate's suspicion-side
-    :class:`~repro.core.predicate.FastPackedPredicate` kernel and converts
-    each packed HO round with a single XOR against the all-lanes mask
-    (:meth:`BitsetDomain.complement_round`), so HO-side packed queries cost
-    the same handful of int ops as the RRFD fast path they ride.
-    """
-
-    fast = True
-
-    def __init__(self, ho: HOPredicate) -> None:
-        super().__init__(ho)
-        kernel = ho._suspicion_kernel(ho.suspicion())
-        if kernel is None or not kernel.fast:  # pragma: no cover - misuse
-            raise TypeError(
-                f"{ho.name} declares no fast suspicion kernel; use the "
-                "PackedHOPredicate bridge instead"
-            )
-        self.kernel = kernel
-        self._all = self.domain.full_round
-
-    def _flip(self, packed_ho: PackedHOHistory) -> PackedDHistory:
-        mask = self._all
-        return tuple(rint ^ mask for rint in packed_ho)
-
-    def allows_history(self, packed_ho: PackedHOHistory) -> bool:
-        return self.kernel.allows_history(self._flip(packed_ho))
-
-    def allows_extension(self, packed_ho: PackedHOHistory, rint: PackedHORound) -> bool:
-        return self.kernel.allows_extension(self._flip(packed_ho), rint ^ self._all)
-
-    def extension_state(self, packed_ho: PackedHOHistory) -> object:
-        return self.kernel.extension_state(self._flip(packed_ho))
 
 
 class HOConjunction(HOPredicate):
@@ -408,11 +321,6 @@ class HONonEmpty(HOPredicate):
             _nonempty_subset(self.everyone, rng) for _ in range(self.n)
         )
 
-    def packed(self) -> PackedHOPredicate:
-        if type(self) is not HONonEmpty:
-            return HOPredicate.packed(self)
-        return FastPackedHOPredicate(self)
-
     def _suspicion_kernel(self, view: HOSuspicionView) -> PackedPredicate | None:
         if type(self) is not HONonEmpty:
             return None
@@ -455,11 +363,6 @@ class HOAtLeast(HOPredicate):
             for _ in range(self.n)
         )
 
-    def packed(self) -> PackedHOPredicate:
-        if type(self) is not HOAtLeast:
-            return HOPredicate.packed(self)
-        return FastPackedHOPredicate(self)
-
     def _suspicion_kernel(self, view: HOSuspicionView) -> PackedPredicate | None:
         if type(self) is not HOAtLeast:
             return None
@@ -491,11 +394,6 @@ class HOHearAll(HOAtLeast):
 
     def describe(self) -> str:
         return "HOHearAll: HO(i,r) = S"
-
-    def packed(self) -> PackedHOPredicate:
-        if type(self) is not HOHearAll:
-            return HOPredicate.packed(self)
-        return FastPackedHOPredicate(self)
 
     def _suspicion_kernel(self, view: HOSuspicionView) -> PackedPredicate | None:
         if type(self) is not HOHearAll:
@@ -534,11 +432,6 @@ class HONoSplit(HOPredicate):
             frozenset({pivot}) | random_subset(self.everyone, rng)
             for _ in range(self.n)
         )
-
-    def packed(self) -> PackedHOPredicate:
-        if type(self) is not HONoSplit:
-            return HOPredicate.packed(self)
-        return FastPackedHOPredicate(self)
 
     def _suspicion_kernel(self, view: HOSuspicionView) -> PackedPredicate | None:
         if type(self) is not HONoSplit:
@@ -592,11 +485,6 @@ class HOGlobalKernel(HOPredicate):
             for _ in range(self.n)
         )
 
-    def packed(self) -> PackedHOPredicate:
-        if type(self) is not HOGlobalKernel:
-            return HOPredicate.packed(self)
-        return FastPackedHOPredicate(self)
-
     def _suspicion_kernel(self, view: HOSuspicionView) -> PackedPredicate | None:
         if type(self) is not HOGlobalKernel:
             return None
@@ -640,11 +528,6 @@ class HOUniform(HOPredicate):
     def sample_round(self, rng: random.Random, ho_history: HOHistory) -> HORound:
         common = _nonempty_subset(self.everyone, rng)
         return tuple(common for _ in range(self.n))
-
-    def packed(self) -> PackedHOPredicate:
-        if type(self) is not HOUniform:
-            return HOPredicate.packed(self)
-        return FastPackedHOPredicate(self)
 
     def _suspicion_kernel(self, view: HOSuspicionView) -> PackedPredicate | None:
         if type(self) is not HOUniform:
@@ -731,11 +614,6 @@ class HOUniformVoting(HOPredicate):
             everyone - random_subset(pool, rng) for _ in range(self.n)
         )
 
-    def packed(self) -> PackedHOPredicate:
-        if type(self) is not HOUniformVoting:
-            return HOPredicate.packed(self)
-        return FastPackedHOPredicate(self)
-
     def _suspicion_kernel(self, view: HOSuspicionView) -> PackedPredicate | None:
         if type(self) is not HOUniformVoting:
             return None
@@ -821,11 +699,6 @@ class HOMustHear(HOPredicate):
                 heard = frozenset({pid})
             ho_round.append(heard)
         return tuple(ho_round)
-
-    def packed(self) -> PackedHOPredicate:
-        if type(self) is not HOMustHear:
-            return HOPredicate.packed(self)
-        return FastPackedHOPredicate(self)
 
     def _suspicion_kernel(self, view: HOSuspicionView) -> PackedPredicate | None:
         if type(self) is not HOMustHear:

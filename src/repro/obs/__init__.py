@@ -26,10 +26,10 @@ site.  The overhead contract (<3% on bench E22 with tracing disabled) is
 asserted in ``tests/obs/test_overhead.py`` and the CI obs-smoke job.
 
 Worker processes never share the parent's tracer: the harness and the
-explorer install a fresh buffered tracer/registry per chunk, ship the
-records and snapshots back, and the parent splices them in deterministic
-chunk order — which is why a trace's deterministic payload is bit-identical
-across ``--workers 1/2/4``.
+check scheduler install a fresh buffered tracer/registry per chunk or
+task, ship the records and snapshots back, and the parent splices them in
+deterministic payload order — which is why a trace's deterministic
+payload is bit-identical across ``--workers 1/2/4``.
 """
 
 from __future__ import annotations

@@ -19,12 +19,13 @@ from repro.check import (
     explore,
     get_spec,
 )
-from repro.check.engine import _CursorAdversary, _SymmetryTable
+from repro.check.engine import _CursorAdversary, _PackedSymmetryTable
 from repro.core.adversary import ScriptedAdversary
 from repro.core.executor import RoundExecutor
 from repro.core.predicate import Conjunction, Unconstrained
 from repro.core.predicates import AsyncMessagePassing, CrashSync, KSetDetector
 from repro.protocols.kset import kset_protocol
+from repro.util.bitset import domain
 
 EXHAUSTIVE_SPECS = [s.name for s in all_specs() if s.supports_exhaustive]
 
@@ -159,24 +160,27 @@ class TestSymmetry:
         assert parallel.histories == serial.histories
 
     def test_table_claims_orbit_once(self):
-        table = _SymmetryTable((0, 0, 1), "exact")
+        dom = domain(3)
+        table = _PackedSymmetryTable((0, 0, 1), "exact", dom)
         d = (frozenset({1}), frozenset(), frozenset())
         # Swapping processes 0 and 1 fixes the inputs (0,0,1) and maps d to:
         image = (frozenset(), frozenset({0}), frozenset())
-        assert table.claim((d,))
-        assert not table.claim((image,))
+        assert table.claim((dom.pack_round(d),))
+        assert not table.claim((dom.pack_round(image),))
         # ... but a permutation moving process 2 changes the inputs: the
         # 0<->2 image of d is NOT orbit-equivalent under the stabilizer.
         other = (frozenset(), frozenset(), frozenset({1}))
-        assert table.claim((other,))
+        assert table.claim((dom.pack_round(other),))
 
     def test_labels_mode_collapses_input_renaming(self):
-        exact = _SymmetryTable((0, 1, 2), "exact")
-        labels = _SymmetryTable((0, 1, 2), "labels")
-        d = (frozenset({1}), frozenset(), frozenset())
-        rotated = (frozenset(), frozenset({2}), frozenset())  # 0->1->2->0 image
-        assert exact.claim((d,)) and exact.claim((rotated,))  # trivial stabilizer
-        assert labels.claim((d,)) and not labels.claim((rotated,))
+        dom = domain(3)
+        exact = _PackedSymmetryTable((0, 1, 2), "exact", dom)
+        labels = _PackedSymmetryTable((0, 1, 2), "labels", dom)
+        d = (dom.pack_round((frozenset({1}), frozenset(), frozenset())),)
+        # the 0->1->2->0 image of d
+        rotated = (dom.pack_round((frozenset(), frozenset({2}), frozenset())),)
+        assert exact.claim(d) and exact.claim(rotated)  # trivial stabilizer
+        assert labels.claim(d) and not labels.claim(rotated)
 
 
 # ---------------------------------------------------------------------------
@@ -237,20 +241,26 @@ class TestPrimitives:
             list(explorer.runs(0))
 
     def test_candidate_memo_collapses_per_round_predicates(self):
+        """The bridge memoizes per set-side ``extension_state``."""
+
+        class Bridged(KSetDetector):  # exact-type guard: no fast kernel
+            pass
+
         explorer = IncrementalExplorer(
-            kset_protocol(), KSetDetector(3, 2), (0, 1, 2), bitset=False
+            kset_protocol(), Bridged(3, 2), (0, 1, 2), symmetry="exact"
         )
+        assert not explorer._packed.fast
         runs = list(explorer.runs(2))
         assert len(runs) == 3721
-        # KSetDetector.extension_state() == (): one enumeration serves every
-        # interior node (root + 61 depth-1 nodes share a single miss).
-        assert explorer.stats.memo_misses == 1
-        assert explorer.stats.memo_hits == 61
+        # The bridge's state is the packed history, so the engine's memo
+        # misses once per interior node (root + 61 depth-1 nodes) ...
+        assert explorer.stats.memo_misses_packed == 62
+        assert explorer.stats.memo_hits_packed == 0
+        # ... but KSetDetector.extension_state() == (): one enumeration
+        # serves all 62 of them.
+        assert len(explorer._packed._candidates) == 1
         # One protocol round per tree edge below the decision round.
         assert explorer.stats.rounds_executed == 61
-        # The set path never touches the packed counters.
-        assert explorer.stats.memo_misses_packed == 0
-        assert explorer.stats.memo_hits_packed == 0
 
     def test_packed_memo_and_aggregation_collapse_decided_subtrees(self):
         """The packed twin of the memo test: same shape, fewer runs.
@@ -262,7 +272,7 @@ class TestPrimitives:
         explorer = IncrementalExplorer(
             kset_protocol(), KSetDetector(3, 2), (0, 1, 2)
         )
-        assert explorer.bitset
+        assert explorer._packed.fast
         runs = list(explorer.runs(2))
         assert len(runs) == 61
         assert all(run.count == 61 for run in runs)
@@ -271,9 +281,6 @@ class TestPrimitives:
         assert explorer.stats.memo_hits_packed == 61
         assert explorer.stats.aggregated_subtrees == 61
         assert explorer.stats.rounds_executed == 61
-        # The packed path never touches the set-keyed counters.
-        assert explorer.stats.memo_misses == 0
-        assert explorer.stats.memo_hits == 0
         # expand() enumerates the leaves lazily, DFS-first leaf first.
         leaves = list(runs[0].expand())
         assert len(leaves) == 61
@@ -281,17 +288,23 @@ class TestPrimitives:
         assert leaves[0] == runs[0].history + runs[0].history
 
     def test_decided_subtrees_share_traces(self):
+        # Symmetry on disables subtree aggregation, so every leaf arrives
+        # as its own run; distinct inputs give a trivial exact-mode
+        # stabilizer, so nothing is skipped either.
         explorer = IncrementalExplorer(
-            kset_protocol(), KSetDetector(3, 2), (0, 1, 2), bitset=False
+            kset_protocol(), KSetDetector(3, 2), (0, 1, 2), symmetry="exact"
         )
         # Count identity *transitions* (shared traces arrive contiguously);
         # holding ids without references would hit GC id reuse.
         distinct = 0
         last = None
+        runs = 0
         for run in explorer.runs(2):
+            runs += 1
             if run.trace is not last:
                 distinct += 1
                 last = run.trace
+        assert runs == 3721 and explorer.stats.skipped_symmetric == 0
         assert distinct == 61  # one trace per depth-1 branch, shared below
 
     def test_extension_state_contract_spot_check(self):

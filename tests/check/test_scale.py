@@ -6,8 +6,7 @@ The determinism contract under test, in three layers:
   executions / pruned / skipped_symmetric and identical violation sets.
   ``visited`` / ``rounds_executed`` are *work* counters and legitimately
   differ between schedulers (the task builder absorbs interior-node work
-  and every task replays its prefix) — the pre-existing static split
-  already diverges from serial on ``visited``.
+  and every task replays its prefix).
 - **cross-worker-count** (steal at 1/2/4 workers): *every* deterministic
   counter, the violation list in exact DFS order, and the absorbed obs
   event stream are bit-identical — the task decomposition is fixed and
@@ -27,7 +26,8 @@ from repro.check.scale import (
     explore_bfs,
 )
 from repro.check.spec import _REGISTRY, all_specs, get_spec, register
-from repro.core.predicates import CrashSync
+from repro.check.specs import kset_k
+from repro.core.predicates import CrashSync, KSetDetector
 
 
 def _search_sig(result):
@@ -87,14 +87,12 @@ class TestStealDifferential:
                     spec.name, n, prune,
                 )
 
-    def test_matches_static_split_at_n4(self):
-        static = explore(
-            "kset", n=4, prune_decided=True, workers=2, scheduler="static"
-        )
+    def test_matches_serial_at_n4(self):
+        serial = explore("kset", n=4, prune_decided=True)
         steal = explore(
             "kset", n=4, prune_decided=True, workers=2, scheduler="steal"
         )
-        assert _search_sig(steal) == _search_sig(static)
+        assert _search_sig(steal) == _search_sig(serial)
         assert steal.histories == 4235
 
     def test_violations_in_exact_serial_dfs_order(self, weak_kset):
@@ -115,9 +113,19 @@ class TestStealDifferential:
         assert _search_sig(steal) == _search_sig(serial)
 
     def test_set_path_and_replay_route_match_serial(self):
-        serial = explore("kset", n=3, bitset=False)
-        steal = explore("kset", n=3, bitset=False, scheduler="steal")
-        assert _search_sig(steal) == _search_sig(serial)
+        class BridgedKSet(KSetDetector):  # exact-type guard: the bridge runs
+            pass
+
+        bridged = get_spec("kset").weakened(
+            lambda n: BridgedKSet(n, kset_k(n)), suffix="scale-bridged"
+        )
+        assert not bridged.predicate(3).packed().fast
+        for prune in (False, True):
+            serial = explore("kset", n=3, prune_decided=prune)
+            steal = explore(
+                bridged, n=3, prune_decided=prune, scheduler="steal"
+            )
+            assert _search_sig(steal) == _search_sig(serial), prune
         serial = explore("kset", n=3, engine="replay")
         steal = explore("kset", n=3, engine="replay", scheduler="steal")
         assert _search_sig(steal) == _search_sig(serial)
@@ -172,7 +180,7 @@ class TestWorkerCountInvariance:
 
 class TestSmallFrontierUtilization:
     def test_small_frontier_expands_past_round_one(self):
-        """The _frontier_chunks idle-worker bug, fixed: floodset n=3 has a
+        """A round-1-only split would idle workers: floodset n=3 has a
         10-prefix round-1 frontier, but the steal builder deepens the
         expansion until there is real work for every worker."""
         serial = explore("floodset", n=3)
@@ -288,6 +296,43 @@ class TestBfs:
     def test_resume_requires_a_checkpoint_directory(self):
         with pytest.raises(ValueError, match="checkpoint"):
             explore_bfs(get_spec("kset"), n=3, resume=True)
+
+    def test_checkpoint_writes_are_fsynced(self, tmp_path, monkeypatch):
+        """Every manifest/segment/result write fsyncs the temp file before
+        the rename and the directory after it."""
+        import os
+        import stat
+
+        events = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            kind = "dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "file"
+            events.append(("fsync", kind))
+            real_fsync(fd)
+
+        def replace(src, dst):
+            events.append(("replace", os.path.basename(dst)))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        explore_bfs(
+            get_spec("kset"), n=3, checkpoint=str(tmp_path / "ckpt"),
+            segment_size=32,
+        )
+        replaced = [
+            (i, name) for i, (op, name) in enumerate(events)
+            if op == "replace"
+        ]
+        names = [name for _, name in replaced]
+        assert names.count("manifest.json") > 1
+        assert any(name.startswith("seg_") for name in names)
+        assert any(name.startswith("res_") for name in names)
+        for i, name in replaced:
+            assert events[i - 1] == ("fsync", "file"), name
+            assert events[i + 1] == ("fsync", "dir"), name
+        assert len(events) == 3 * len(replaced)
 
     def test_checkpoint_version_recorded(self, tmp_path):
         import json

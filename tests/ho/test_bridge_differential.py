@@ -9,12 +9,12 @@ Three oracles are compared pairwise, mirroring
   ``FastPackedPredicate`` the exploration engine runs on) must agree with
   the set-based ``PackedPredicate`` oracle on membership, enumeration
   order and history judgement over all ``(2^3)^3 = 512`` rounds at n=3;
-- the **HO-side fast path** (``FastPackedHOPredicate``, one XOR per
-  round) must agree with the bridged ``PackedHOPredicate`` oracle on the
-  same sweep.
+- **packed HO rounds**, complemented with one XOR per round and judged by
+  the suspicion kernel, must agree with the HO predicate's own set
+  methods on the same sweep.
 
-Subclassing any catalog class with changed semantics must drop both
-packed paths back to the set oracle (the exact-type-guard rule of PR 7).
+Subclassing any catalog class with changed semantics must drop the
+suspicion view back to the bridge (the exact-type-guard rule).
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from repro.check.strategies import admissible_histories, ho_collections
 from repro.core.predicate import PackedPredicate
 from repro.ho.derive import derive
 from repro.ho.model import (
-    FastPackedHOPredicate,
     HOAtLeast,
     HOGlobalKernel,
     HOHearAll,
@@ -38,7 +37,6 @@ from repro.ho.model import (
     HONoSplit,
     HOUniform,
     HOUniformVoting,
-    PackedHOPredicate,
     from_suspicion,
     get_ho_predicate,
     ho_predicate_names,
@@ -115,7 +113,6 @@ def test_catalog_suspicion_kernel_is_fast(predicate):
     assert predicate.suspicion().packed().fast, (
         f"{predicate.name} should ship a fast suspicion kernel"
     )
-    assert isinstance(predicate.packed(), FastPackedHOPredicate)
 
 
 @pytest.mark.parametrize("predicate", CATALOG, ids=IDS)
@@ -157,36 +154,42 @@ def test_suspicion_enumeration_matches_oracle_order(predicate, max_d_size):
 
 
 # ---------------------------------------------------------------------------
-# HO-side fast path vs the bridged oracle
+# packed HO rounds (complement + suspicion kernel) vs the HO set oracle
 
 
 @pytest.mark.parametrize("predicate", CATALOG, ids=IDS)
 def test_ho_packed_membership_matches_bridged_oracle(predicate):
-    fast = predicate.packed()
-    oracle = PackedHOPredicate(predicate)
+    kernel = predicate.suspicion().packed()
+    dom = domain(N)
+    flip = dom.complement_round
     space = 1 << (N * N)
     for ph in _ho_prefixes(predicate):
+        collection = dom.unpack_history(ph)
+        d_prefix = tuple(flip(r) for r in ph)
         for rint in range(space):
-            assert fast.allows_extension(ph, rint) == oracle.allows_extension(
-                ph, rint
+            assert kernel.allows_extension(d_prefix, flip(rint)) == (
+                predicate.allows_extension(collection, dom.unpack_round(rint))
             ), f"HO membership diverges after {ph!r} on round {rint}"
 
 
 @pytest.mark.parametrize("predicate", CATALOG, ids=IDS)
 def test_ho_packed_history_judgement_matches_bridged_oracle(predicate):
-    fast = predicate.packed()
-    oracle = PackedHOPredicate(predicate)
+    kernel = predicate.suspicion().packed()
+    dom = domain(N)
     rng = random.Random(7)
     for ph in _ho_prefixes(predicate):
-        assert fast.allows_history(ph) and oracle.allows_history(ph)
+        d_prefix = tuple(dom.complement_round(r) for r in ph)
+        assert kernel.allows_history(d_prefix)
+        assert predicate.allows(dom.unpack_history(ph))
         tail = rng.randrange(1 << (N * N))
         extended = ph + (tail,)
-        assert fast.allows_history(extended) == oracle.allows_history(extended)
-        assert fast.extension_state(ph) == oracle.extension_state(ph)
+        assert kernel.allows_history(
+            d_prefix + (dom.complement_round(tail),)
+        ) == predicate.allows(dom.unpack_history(extended))
 
 
 # ---------------------------------------------------------------------------
-# subclasses with changed semantics fall back to the bridge (PR-7 rule)
+# subclasses with changed semantics fall back to the bridge
 
 
 @pytest.mark.parametrize(
@@ -213,9 +216,6 @@ def test_every_catalog_class_guards_on_exact_type(cls, args):
         f"{cls.__name__} subclass must fall back to the bridged oracle"
     )
     assert type(packed) is PackedPredicate
-    ho_packed = predicate.packed()
-    assert not ho_packed.fast
-    assert type(ho_packed) is PackedHOPredicate
 
 
 def test_subclassed_suspicion_view_falls_back_too():

@@ -55,11 +55,21 @@ class TestSpecCertification:
         assert result.ok
         assert result.histories == (4 * 22) ** 2
 
-    @pytest.mark.parametrize("bitset", [True, False])
-    def test_exhaustive_in_both_engine_modes(self, bitset):
-        result = explore("ho-uniform-voting", n=N, bitset=bitset)
+    @pytest.mark.parametrize("fast", [True, False])
+    def test_exhaustive_in_both_engine_modes(self, fast):
+        """The fast suspicion kernel and the bridge certify the same space."""
+        spec = get_spec("ho-uniform-voting")
+        if not fast:
+            class BridgedVoting(HOUniformVoting):  # exact-type guard
+                pass
+
+            spec = spec.weakened(
+                lambda n: BridgedVoting(n, f=1).suspicion(), suffix="bridged"
+            )
+        assert spec.predicate(N).packed().fast == fast
+        result = explore(spec, n=N)
         assert result.ok
-        assert result.bitset == bitset
+        assert result.histories == (4 * 22) ** 2
 
     def test_weakened_predicate_breaks_the_protocol(self):
         """Sanity harness: under bare HO-nonemptiness (no uniformity) the
