@@ -7,8 +7,9 @@ uses: one XOR against ``domain.full_round`` per round plus a
 ``FastPackedPredicate`` suspicion kernel.  The ``set`` configuration pins
 ``bitset=False`` on the containment checks — the frozenset path the packed
 one is differentially certified against
-(``tests/ho/test_bridge_differential.py``).  Exploration has one engine,
-so both configurations of ``uniform-voting-n3`` run the same packed DFS.
+(``tests/ho/test_bridge_differential.py``) — and certifies
+``uniform-voting-n3`` through a ``HOUniformVoting`` subclass, which has no
+fast kernel, so the engine runs it through the frozenset bridge.
 
 Three workloads exercise the three layers of :mod:`repro.ho`:
 
@@ -32,9 +33,10 @@ import time
 import pytest
 
 from benchmarks.conftest import report_experiment
-from repro.check import explore
+from repro.check import explore, get_spec
 from repro.harness import Experiment, Grid, run_experiment, run_one_cell
 from repro.ho import certify_all, contains
+from repro.ho.model import HOUniformVoting
 
 N = 3
 
@@ -47,8 +49,18 @@ CONTAINMENT_PAIRS = [
 ]
 
 
+class _BridgedVoting(HOUniformVoting):  # exact-type guard: the bridge runs
+    pass
+
+
 def _explore_uniform_voting(bitset: bool) -> dict:
-    result = explore("ho-uniform-voting", n=N)  # one engine for both configs
+    spec = get_spec("ho-uniform-voting")
+    if not bitset:
+        spec = spec.weakened(
+            lambda n: _BridgedVoting(n, f=1).suspicion(), suffix="bridged"
+        )
+    assert spec.predicate(N).packed().fast == bitset
+    result = explore(spec, n=N)
     assert result.ok, result.summary()
     return {"histories": result.histories, "separations": 0}
 

@@ -1,14 +1,15 @@
 """E25 — scale-out certification: work stealing and disk-backed BFS.
 
 The scale layer (:mod:`repro.check.scale`) is the one parallel task
-runtime: a worker-count-independent task decomposition (``TARGET_TASKS``
-tasks from a multi-depth frontier, deduped by orbit before sharding), a
-cross-worker shared transposition table (``SharedMemoTable``: the builder
-pre-seeds it, workers publish decided subtrees), and a disk-backed BFS
-mode whose frontier spills to pickle segments with checkpoint/resume.
+runtime: one driver runs both a worker-count-independent task
+decomposition (``TARGET_TASKS`` tasks from a multi-depth frontier,
+deduped by orbit before sharding) and a disk-backed BFS mode whose
+frontier spills to pickle segments with checkpoint/resume.  Pool workers
+start from the task builder's candidate memo, passed through the pool
+initializer.
 
 Expected shape: work stealing keeps all workers busy to the end and the
-shared table turns the builder's interior walk into cross-worker cache
+seeded memo turns the builder's interior walk into per-worker cache
 hits.  The PR-7 baseline for ``kset`` n=5 pruned (1 009 981 histories),
 a static round-1 frontier split, was 136 s; the acceptance bar is ≥2×
 (≤68 s), the committed artifact records ~8×.  ``steal-1w`` runs the same
@@ -18,9 +19,10 @@ violation set (differentially tested in ``tests/check/test_scale.py``);
 ``visited``/``rounds_executed`` are scheduler-dependent work counters and
 are deliberately not compared here.
 
-``shared_hits`` is environmental (zero when ``/dev/shm`` is unavailable
-and the pool falls back to per-worker memos), so it is volatile in the
-committed artifact; CI asserts it from a live run instead.
+``shared_hits`` is environmental (which tasks share a worker, and so
+which of them finds a list another task computed, depends on
+scheduling), so it is volatile in the committed artifact; CI asserts it
+from a live run instead.
 """
 
 import time
@@ -38,8 +40,8 @@ WORKLOADS = {
 }
 
 CONFIGS = {
-    # Work stealing in-process (no pool): the builder memo plays the shared
-    # table's role.  One cell so the artifact records the serial floor.
+    # Work stealing in-process (no pool): the tasks share the builder memo.
+    # One cell so the artifact records the serial floor.
     "steal-1w": dict(workers=1, scheduler="steal"),
     "steal-4w": dict(workers=4, scheduler="steal"),
     # Disk-backed BFS over the same task decomposition (ephemeral
@@ -78,17 +80,17 @@ def run_cell(ctx) -> dict:
         "pruned": result.pruned,
         "workers": result.workers,
         "tasks": scale.get("tasks", scale.get("tasks_done", 0)),
-        # Environmental: depends on /dev/shm availability and pool timing.
-        # Volatile in the committed artifact (scripts/regen_bench.py); CI
-        # asserts cross-worker hits > 0 from a live run.
+        # Environmental: depends on which tasks share a worker.  Volatile
+        # in the committed artifact (scripts/regen_bench.py); CI asserts
+        # hits > 0 from a live run.
         "shared_hits": scale.get("shared_hits", 0),
     }
 
 
 EXPERIMENT = Experiment(
     id="E25",
-    title="E25 (extension): scale-out certification — work-stealing "
-    "scheduler, shared transposition table and disk-backed BFS",
+    title="E25 (extension): scale-out certification — work stealing and "
+    "disk-backed BFS on one task driver",
     grid=Grid.explicit("workload,config", GRID),
     run_cell=run_cell,
     samples=1,  # the n=5 cells are wall-clock heavy; counts are exact

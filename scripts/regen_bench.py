@@ -11,8 +11,8 @@ experiments the bitset kernel is accepted against:
 * ``benchmarks/artifacts/BENCH_E24.json`` — Heard-Of certification grid
   (packed suspicion kernels vs the bridged set oracle);
 * ``benchmarks/artifacts/BENCH_E25.json`` — scale-out certification grid
-  (static frontier split vs work-stealing scheduler vs disk-backed BFS,
-  including the kset n=5 headline cells);
+  (work stealing at 1 and 4 workers vs disk-backed BFS, including the
+  kset n=5 headline cell);
 * ``benchmarks/artifacts/BENCH_E26.json`` — communication-closure
   certification grid (compiled async protocols recorded under fault
   plans, certified and projected — all counts seed-exact).
@@ -54,8 +54,9 @@ ARTIFACT_DIR = REPO_ROOT / "benchmarks" / "artifacts"
 EXPERIMENT_IDS = ("E22", "E14", "E14c", "E24", "E25", "E26")
 
 #: Per-cell value fields that vary run to run and machine to machine.
-#: ``shared_hits`` is environmental (zero when /dev/shm is unavailable and
-#: the worker pool falls back to per-worker memos).
+#: ``shared_hits`` is environmental: which tasks share a pool worker, and so
+#: which of them finds a candidate list another task computed, depends on
+#: scheduling.
 VOLATILE_VALUE_KEYS = frozenset({"elapsed_ms", "shared_hits"})
 
 

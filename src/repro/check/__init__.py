@@ -13,10 +13,10 @@ this package checks that quantifier uniformly instead of piecemeal:
   ``explore(engine="incremental")``: one packed DFS for every predicate,
   executor forking (one protocol round per tree edge), candidate
   memoization and orbit-level symmetry reduction.
-- :mod:`repro.check.scale` — the scale-out layer: the work-stealing task
-  scheduler behind ``explore(workers=...)``, the cross-worker shared
-  transposition table, and disk-backed BFS certification with
-  checkpoint/resume (``explore_bfs``; ``repro check --bfs/--resume``).
+- :mod:`repro.check.scale` — the scale-out layer: one task driver that
+  runs the work-stealing tasks behind ``explore(workers=...)`` and the
+  disk-backed BFS certification with checkpoint/resume (``explore_bfs``;
+  ``repro check --bfs/--resume``).
 - :mod:`repro.check.shrink` — delta-debugging of failing histories down to
   minimal replayable counterexamples, serialized as ``tests/golden/``
   artifacts.
@@ -44,7 +44,6 @@ from repro.check.engine import (
 from repro.check.explore import ExploreResult, Violation, explore, fuzz
 from repro.check.scale import (
     CHECKPOINT_VERSION,
-    SharedMemoTable,
     explore_bfs,
 )
 from repro.check.shrink import (
@@ -68,7 +67,6 @@ __all__ = [
     "explore",
     "explore_bfs",
     "fuzz",
-    "SharedMemoTable",
     "CHECKPOINT_VERSION",
     "IncrementalExplorer",
     "EngineRun",

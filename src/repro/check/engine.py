@@ -95,16 +95,15 @@ class EngineStats:
     memo_hits_packed: int = 0  # candidate lists served from the memo
     memo_misses_packed: int = 0  # candidate lists enumerated (or loaded)
     aggregated_subtrees: int = 0  # decided subtrees counted without expansion
-    # Cross-process memo traffic (repro.check.scale's shared table).  These
-    # three are *environmental*: which worker computes a candidate list and
-    # which loads it from the shared table depends on scheduling races, so
-    # they vary run to run and across worker counts.  Every other field
-    # stays deterministic — a shared-table load is counted as a packed memo
-    # miss too (the list was not in the local memo), keeping the
-    # deterministic counters identical whether the table was on or off.
-    shared_hits: int = 0  # candidate lists loaded from the cross-worker table
-    shared_misses: int = 0  # probes that found no published entry
-    shared_publishes: int = 0  # locally computed lists published to the table
+    # Traffic on the process-wide candidate memo (``shared_memo``: the task
+    # builder's memo that seeds repro.check.scale workers).  These two are
+    # *environmental*: which tasks share a worker, and so which of them
+    # finds a list another task computed, depends on scheduling, so they
+    # vary run to run and across worker counts.  Every other field stays
+    # deterministic — a shared-memo load is counted as a packed memo miss
+    # too (the list was not in the explorer's own memo).
+    shared_hits: int = 0  # candidate lists found in the shared memo
+    shared_misses: int = 0  # shared-memo probes that found nothing
 
     def snapshot(self) -> dict[str, int]:
         """Plain picklable counter snapshot (the shared obs contract)."""
@@ -314,12 +313,12 @@ class IncrementalExplorer:
         self._packed = predicate.packed()
         self._packed_candidates: dict[Any, list[int]] = {}
         self._agg_counts: dict[Any, int] = {}
-        #: Optional cross-process candidate-memo broadcast (duck-typed:
-        #: ``get(key) -> list | None`` and ``put(key, list) -> bool``), set by
-        #: :mod:`repro.check.scale` workers.  Entries are pure functions of
-        #: their key, so serving one from another process can never change
-        #: results — only skip a redundant enumeration.
-        self.shared_memo: Any | None = None
+        #: Optional candidate memo shared by every explorer in a process
+        #: (folded state -> candidate list), set by :mod:`repro.check.scale`
+        #: tasks.  Entries are pure functions of their key, so serving one
+        #: computed elsewhere can never change results — only skip a
+        #: redundant enumeration.
+        self.shared_memo: dict[Any, list[int]] | None = None
         self._packed_table: _PackedSymmetryTable | None = None
         if symmetry:
             try:
@@ -357,12 +356,11 @@ class IncrementalExplorer:
         if cached is None:
             shared = self.shared_memo
             if shared is not None:
-                loaded = shared.get(("cand", state))
-                if loaded is not None:
-                    # Candidate lists are read-only everywhere, so a list
-                    # from the worker-local front is shared as-is — copying
-                    # a million-entry frontier per task is real money.
-                    cached = loaded if type(loaded) is list else list(loaded)
+                # Candidate lists are read-only everywhere, so a shared list
+                # is used as-is — copying a million-entry frontier per task
+                # is real money.
+                cached = shared.get(state)
+                if cached is not None:
                     self.stats.shared_hits += 1
                 else:
                     self.stats.shared_misses += 1
@@ -370,10 +368,10 @@ class IncrementalExplorer:
                 cached = self._packed.admissible_round_ints(
                     (), max_d_size=self.max_d_size, state=state
                 )
-                if shared is not None and shared.put(("cand", state), cached):
-                    self.stats.shared_publishes += 1
+                if shared is not None:
+                    shared[state] = cached
             self._packed_candidates[state] = cached
-            # A shared-table load still counts (and traces) as a packed memo
+            # A shared-memo load still counts (and traces) as a packed memo
             # miss: the list was absent locally, and keeping the accounting
             # identical either way is what makes the deterministic counters
             # and the event stream invariant across worker counts.

@@ -31,10 +31,10 @@ Throughput levers for ``n = 4`` (where e.g. ``KSetDetector`` admits
 - ``workers > 1`` shards the search across processes with the
   work-stealing scheduler of :mod:`repro.check.scale` (a fixed,
   worker-count-independent task decomposition pulled dynamically by a
-  process pool, with a shared cross-worker candidate-memo table).  A
-  multi-task run requires a registered spec (workers re-resolve it by
-  name — specs close over lambdas and do not pickle), and results are
-  identical for every worker count.
+  process pool whose workers start from the task builder's candidate
+  memo).  A multi-task run requires a registered spec (workers re-resolve
+  it by name — specs close over lambdas and do not pickle), and results
+  are identical for every worker count.
 - ``symmetry=True`` checks one representative per process-permutation
   orbit, for specs that declare a symmetry grade (see
   :class:`~repro.check.spec.ConformanceSpec`).  Off by default in the
@@ -319,10 +319,11 @@ def explore(
         max_d_size: cap per-process suspicion-set size (passed through to
             the enumerator; dead ends raise rather than vanish).
         workers: >1 drains the work-stealing task list with a process
-            pool; the spec must then be registered by name.
+            pool, each worker seeded with the candidate lists the task
+            builder enumerated; the spec must then be registered by name.
         max_violations: stop early after this many violations.  Parallel
-            runs cancel outstanding tasks once the cap is reached and
-            truncate the merged list to the cap.
+            runs submit no further task once the cap is reached, finish
+            the submitted ones and truncate the merged list to the cap.
         engine: ``"incremental"`` (fork executors — see
             :mod:`repro.check.engine`) or ``"replay"`` (re-run each history
             from round 1).  Verdicts are identical; ``rounds == 0`` always

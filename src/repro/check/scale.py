@@ -1,31 +1,28 @@
-"""Scale-out certification: work stealing, a shared memo table, disk BFS.
+"""Scale-out certification: work stealing and disk-backed BFS.
 
 This module is the one parallel task runtime behind
-:func:`repro.check.explore.explore` and :func:`explore_bfs`.  It keeps the
-repo's determinism contract — byte-identical violation lists and history
-counts for every worker count — with three mechanisms:
+:func:`repro.check.explore.explore` and :func:`explore_bfs`.  Both feed
+their tasks to one driver, :func:`_drain`, which runs them in-process at
+one worker and otherwise on a process pool with about two tasks in flight
+per worker.  Pool workers are seeded with the parent's candidate memo
+through the pool initializer (inherited under ``fork``, pickled once per
+worker under ``spawn``), so the candidate lists the task builder already
+enumerated are lookups in every worker, not recomputations.  The repo's
+determinism contract — byte-identical violation lists and history counts
+for every worker count — holds for both task sources:
 
 - **Work stealing over a fixed task decomposition** (:func:`run_steal`).
   The frontier is cut into a worker-count-*independent* list of tasks
-  (about :data:`TARGET_TASKS` per input assignment), and a process pool
-  pulls them dynamically.  When the round-1 frontier is smaller than the
+  (about :data:`TARGET_TASKS` per input assignment), and the pool pulls
+  them dynamically.  When the round-1 frontier is smaller than the
   wanted task count, the builder expands *deeper* levels until there is
   enough parallelism (:func:`_expand_tasks`), so small-``n``
   high-worker runs reach full utilization.  Tasks are merged in
   task-index order, never completion order, so counters, violations and
-  absorbed event streams are identical at ``--workers 1/2/4``.
-
-- **A shared cross-worker transposition table**
-  (:class:`SharedMemoTable`): an open-addressing fingerprint index over
-  ``multiprocessing.shared_memory``, broadcasting the engine's packed
-  candidate-memo entries across process boundaries instead of letting
-  each worker re-enumerate them (1.3 s *per worker* at kset ``n=5``).
-  Entries are pure functions of their key and every hit re-verifies the
-  full pickled key, so fingerprint collisions, torn writes and lost
-  racing publishes can cost time but never soundness — exactly the
-  TLC fingerprint-set discipline.  Orbit (symmetry) claims deliberately
-  stay task-local: a racy cross-worker *skip* could change which orbit
-  representative is counted and break count determinism.
+  absorbed event streams are identical at ``--workers 1/2/4``.  Orbit
+  (symmetry) claims stay task-local below the builder's globally deduped
+  depth-1 frontier, so which orbit representative is counted never
+  depends on scheduling.
 
 - **A disk-backed BFS mode** (:func:`explore_bfs`) with spill-to-disk
   frontier segments and checkpoint/resume (``repro check --bfs
@@ -51,12 +48,10 @@ import json
 import os
 import pickle
 import shutil
-import struct
 import sys
 import tempfile
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from multiprocessing import Lock, resource_tracker, shared_memory
 from pathlib import Path
 from typing import Any, Callable
 
@@ -86,7 +81,6 @@ from repro.util.bitset import domain as bitset_domain
 __all__ = [
     "TARGET_TASKS",
     "CHECKPOINT_VERSION",
-    "SharedMemoTable",
     "run_steal",
     "explore_bfs",
 ]
@@ -98,211 +92,12 @@ TARGET_TASKS = 64
 
 CHECKPOINT_VERSION = "rrfd-checkpoint-v1"
 
+#: A candidate memo: folded predicate state -> packed candidate rounds.
+Memo = dict[Any, list[int]]
 
-# ---------------------------------------------------------------------------
-# shared cross-worker transposition table
-
-_SLOT = struct.Struct("<QQ")  # [fingerprint][blob offset + 1]
-_LEN = struct.Struct("<I")
-_U64 = struct.Struct("<Q")
-
-
-class SharedMemoTable:
-    """Open-addressing key/value set in ``multiprocessing.shared_memory``.
-
-    Two segments: a slot *index* of ``(u64 fingerprint, u64 offset+1)``
-    pairs and an append-only *blob* whose first 8 bytes are the bump
-    pointer.  ``put`` reserves blob space under a lock, writes
-    ``[u32 len][pickle((key, value))]``, then claims a slot by writing the
-    offset first and the fingerprint *last* — a reader that sees a
-    non-zero fingerprint sees a complete entry.  There is no CAS on the
-    slot word, so two racing publishers of different keys can overwrite
-    one another's claim; the loser's blob bytes are orphaned and its key
-    is simply recomputed by the next prober.  ``get`` verifies the full
-    unpickled key on every fingerprint match, so collisions and torn
-    entries degrade to misses — the table can only ever *save* work, never
-    change a result (entries are pure functions of their key).
-    """
-
-    PROBE_LIMIT = 64
-
-    def __init__(
-        self,
-        index: shared_memory.SharedMemory,
-        blob: shared_memory.SharedMemory,
-        slots: int,
-        lock: Any,
-        *,
-        owner: bool,
-    ) -> None:
-        self._index = index
-        self._blob = blob
-        self.slots = slots
-        self.lock = lock
-        self._owner = owner
-
-    # -- lifecycle ----------------------------------------------------------
-
-    @classmethod
-    def create(
-        cls, slots: int = 1 << 14, blob_bytes: int = 64 << 20
-    ) -> "SharedMemoTable":
-        """Allocate fresh (zero-filled) segments; call :meth:`destroy` after."""
-        lock = Lock()
-        index = shared_memory.SharedMemory(create=True, size=slots * _SLOT.size)
-        try:
-            blob = shared_memory.SharedMemory(create=True, size=blob_bytes)
-        except Exception:
-            index.close()
-            index.unlink()
-            raise
-        _U64.pack_into(blob.buf, 0, 8)  # bump pointer starts past itself
-        return cls(index, blob, slots, lock, owner=True)
-
-    def handles(self) -> tuple[str, str, int]:
-        """Picklable attach handles (the lock travels via pool initargs)."""
-        return (self._index.name, self._blob.name, self.slots)
-
-    @classmethod
-    def attach(
-        cls, handles: tuple[str, str, int], lock: Any
-    ) -> "SharedMemoTable":
-        index_name, blob_name, slots = handles
-        # Only the creating process owns the segments' lifetime.  Attaching
-        # normally registers them with the resource tracker, which would
-        # unlink them when any worker exits (and, with several workers
-        # sharing one forked tracker, double-unregister noisily) — suppress
-        # registration for the attach, single-threaded in the initializer.
-        original_register = resource_tracker.register
-        resource_tracker.register = lambda name, rtype: None
-        try:
-            index = shared_memory.SharedMemory(name=index_name)
-            blob = shared_memory.SharedMemory(name=blob_name)
-        finally:
-            resource_tracker.register = original_register
-        return cls(index, blob, slots, lock, owner=False)
-
-    def close(self) -> None:
-        for shm in (self._index, self._blob):
-            try:
-                shm.close()
-            except Exception:
-                pass
-
-    def destroy(self) -> None:
-        """Close, and (in the owner) unlink the segments."""
-        owner = self._owner
-        index, blob = self._index, self._blob
-        self.close()
-        if owner:
-            for shm in (index, blob):
-                try:
-                    shm.unlink()
-                except Exception:
-                    pass
-
-    # -- operations ---------------------------------------------------------
-
-    @staticmethod
-    def _fingerprint(key_bytes: bytes) -> int:
-        fp = int.from_bytes(
-            hashlib.blake2b(key_bytes, digest_size=8).digest(), "little"
-        )
-        return fp or 1  # 0 marks an empty slot
-
-    def get(self, key: Any) -> Any | None:
-        try:
-            key_bytes = pickle.dumps(key, protocol=4)
-        except Exception:
-            return None
-        fp = self._fingerprint(key_bytes)
-        index = self._index.buf
-        blob = self._blob.buf
-        slots = self.slots
-        base = fp % slots
-        for i in range(self.PROBE_LIMIT):
-            slot = (base + i) % slots
-            slot_fp, slot_off = _SLOT.unpack_from(index, slot * _SLOT.size)
-            if slot_fp == 0:
-                return None
-            if slot_fp != fp or slot_off == 0:
-                continue
-            off = slot_off - 1
-            try:
-                (paylen,) = _LEN.unpack_from(blob, off)
-                loaded_key, value = pickle.loads(
-                    bytes(blob[off + 4 : off + 4 + paylen])
-                )
-            except Exception:
-                continue  # torn or garbled entry: collision-safe miss
-            if loaded_key == key:
-                return value
-        return None
-
-    def put(self, key: Any, value: Any) -> bool:
-        """Publish ``key -> value``; ``False`` when full/raced (harmless)."""
-        try:
-            key_bytes = pickle.dumps(key, protocol=4)
-            payload = pickle.dumps((key, value), protocol=4)
-        except Exception:
-            return False
-        fp = self._fingerprint(key_bytes)
-        blob = self._blob.buf
-        need = 4 + len(payload)
-        with self.lock:
-            (bump,) = _U64.unpack_from(blob, 0)
-            if bump + need > len(blob):
-                return False
-            off = bump
-            _U64.pack_into(blob, 0, bump + need)
-        _LEN.pack_into(blob, off, len(payload))
-        blob[off + 4 : off + 4 + len(payload)] = payload
-        index = self._index.buf
-        slots = self.slots
-        base = fp % slots
-        for i in range(self.PROBE_LIMIT):
-            slot = (base + i) % slots
-            slot_fp, _ = _SLOT.unpack_from(index, slot * _SLOT.size)
-            if slot_fp == 0:
-                _U64.pack_into(index, slot * _SLOT.size + 8, off + 1)
-                _U64.pack_into(index, slot * _SLOT.size, fp)
-                return True
-            if slot_fp == fp:
-                return False  # already published (possibly by a racer)
-        return False  # neighbourhood crowded: skip, stay sound
-
-
-class _WorkerMemo:
-    """Per-process front for the shared table (or for no table at all).
-
-    Loads are unpickled from shared memory once per worker, not once per
-    task: explorers are rebuilt per task for determinism, so without this
-    front every task would re-load (and re-copy) e.g. the million-entry
-    kset ``n=5`` root candidate list.  With no backing table it still
-    deduplicates candidate enumeration across one process's tasks.  Only
-    the environmental ``shared_*`` counters can observe the difference.
-    """
-
-    def __init__(self, table: SharedMemoTable | None) -> None:
-        self._table = table
-        self._front: dict[Any, Any] = {}
-
-    def get(self, key: Any) -> Any | None:
-        value = self._front.get(key)
-        if value is not None:
-            return value
-        if self._table is None:
-            return None
-        value = self._table.get(key)
-        if value is not None:
-            self._front[key] = value
-        return value
-
-    def put(self, key: Any, value: Any) -> bool:
-        self._front[key] = value
-        if self._table is None:
-            return False
-        return self._table.put(key, value)
+#: A task body: ``run(spec, payload, memo) -> part`` (module-level, so the
+#: pool pickles it by reference).
+TaskFn = Callable[[ConformanceSpec, dict[str, Any], Memo], dict[str, Any]]
 
 
 # ---------------------------------------------------------------------------
@@ -562,7 +357,7 @@ def _build_tasks(
     symmetry_mode: str | None,
     max_violations: int | None,
     observe: bool,
-) -> tuple[list[dict[str, Any]], _WorkerMemo, int, int]:
+) -> tuple[list[dict[str, Any]], Memo, int, int]:
     """The fixed task decomposition: payloads, builder memo, depth, skips.
 
     Task kinds: ``("list", [prefix, ...])`` — resume the DFS below each
@@ -573,11 +368,11 @@ def _build_tasks(
     need task-local tables for deeper levels; the orbits cut here are
     returned as the fourth element so ``skipped_symmetric`` still matches
     the serial walk.  Candidate lists enumerated while building land in
-    ``builder_memo`` and pre-seed the shared table, so every pool
-    worker's first probe is a cross-worker hit.
+    ``builder_memo``, which seeds every worker, so each worker's first
+    probe is a hit.
     """
     payloads: list[dict[str, Any]] = []
-    builder_memo = _WorkerMemo(None)
+    builder_memo: Memo = {}
     depth_seen = [1]
     builder_skipped = 0
     replay_frontier: list[DHistory] | None = None
@@ -652,30 +447,82 @@ def _build_tasks(
 
 
 # ---------------------------------------------------------------------------
-# worker side
+# the task driver
 
-_WORKER: dict[str, Any] = {"memo": None}
+#: The candidate memo a pool worker's tasks share, seeded by the initializer.
+_WORKER_MEMO: Memo = {}
 
-def _init_scale_worker(
-    parent_path: list[str],
-    table_handles: tuple[str, str, int] | None,
-    lock: Any,
-) -> None:
+def _init_scale_worker(parent_path: list[str], memo: Memo) -> None:
+    global _WORKER_MEMO
     init_worker(parent_path)
-    table = None
-    if table_handles is not None:
-        try:
-            table = SharedMemoTable.attach(table_handles, lock)
-        except Exception:
-            table = None  # degrade: local-front memo only
-    _WORKER["memo"] = _WorkerMemo(table)
+    _WORKER_MEMO = memo
 
-def _scale_task(payload: dict[str, Any]) -> dict[str, Any]:
+def _pool_task(run: TaskFn, payload: dict[str, Any]) -> dict[str, Any]:
     """Pool entry: resolve the spec by name, run one task."""
-    shared = _WORKER.get("memo")
-    if shared is None:
-        shared = _WORKER["memo"] = _WorkerMemo(None)
-    return _scale_task_impl(get_spec(payload["spec"]), payload, shared)
+    return run(get_spec(payload["spec"]), payload, _WORKER_MEMO)
+
+def _drain(
+    spec: ConformanceSpec,
+    workers: int,
+    memo: Memo,
+    run: TaskFn,
+    next_payload: Callable[[], dict[str, Any] | None],
+    on_done: Callable[[dict[str, Any], dict[str, Any]], None],
+    stop: Callable[[], bool],
+    heartbeat: Callable[[], None],
+    poll: float | None,
+) -> None:
+    """Run tasks until ``next_payload`` runs dry or ``stop()`` holds.
+
+    ``on_done(payload, part)`` runs in the parent as each task finishes.
+    At ``workers == 1`` tasks run in-process against ``memo``; otherwise a
+    pool of ``workers`` processes, each seeded with ``memo``, keeps about
+    two tasks in flight per worker, so finishers pull the next task at
+    once.  Once ``stop()`` holds no task is submitted, but every submitted
+    task still reaches ``on_done``: the finished tasks are always exactly
+    the first ones ``next_payload`` handed out.  ``heartbeat`` runs after
+    every completion, or every ``poll`` seconds while the pool is busy.
+    """
+    if workers == 1:
+        while not stop():
+            payload = next_payload()
+            if payload is None:
+                break
+            on_done(payload, run(spec, payload, memo))
+            heartbeat()
+        return
+    try:
+        registered = get_spec(spec.name)
+    except KeyError:
+        registered = None
+    if registered is not spec:
+        raise ValueError(
+            f"workers>1 needs a registered spec; {spec.name!r} is not "
+            "the registered instance (register it, or run with workers=1)"
+        )
+    with ProcessPoolExecutor(
+        max_workers=workers, initializer=_init_scale_worker,
+        initargs=(list(sys.path), memo),
+    ) as pool:
+        in_flight: dict[Any, dict[str, Any]] = {}
+        while True:
+            while len(in_flight) < 2 * workers and not stop():
+                payload = next_payload()
+                if payload is None:
+                    break
+                in_flight[pool.submit(_pool_task, run, payload)] = payload
+            if not in_flight:
+                return
+            finished, _ = wait(
+                set(in_flight), timeout=poll, return_when=FIRST_COMPLETED
+            )
+            for future in finished:
+                on_done(in_flight.pop(future), future.result())
+            heartbeat()
+
+
+# ---------------------------------------------------------------------------
+# work-stealing tasks
 
 def _run_range(
     spec: ConformanceSpec,
@@ -770,15 +617,15 @@ def _run_range(
             )
             i = j
 
-def _scale_task_impl(
-    spec: ConformanceSpec, payload: dict[str, Any], shared: _WorkerMemo
+def _run_steal_task(
+    spec: ConformanceSpec, payload: dict[str, Any], memo: Memo
 ) -> dict[str, Any]:
     """Run one task and return its mergeable part dict.
 
     A fresh explorer per task keeps every deterministic counter and event
     a function of the task alone (a warm memo carried across tasks would
-    make them depend on which tasks shared a worker); the shared memo
-    front is what makes the rebuild cheap.
+    make them depend on which tasks shared a worker); the process-wide
+    candidate ``memo`` is what makes the rebuild cheap.
     """
     inputs = tuple(payload["inputs"])
     n = payload["n"]
@@ -807,7 +654,7 @@ def _scale_task_impl(
                     max_d_size=payload["max_d_size"],
                     symmetry=payload["symmetry"],
                 )
-                explorer.shared_memo = shared
+                explorer.shared_memo = memo
                 before = explorer.stats.snapshot()
                 if task[0] == "list":
                     for prefix in task[1]:
@@ -889,9 +736,6 @@ def _scale_task_impl(
     return part
 
 
-# ---------------------------------------------------------------------------
-# work-stealing driver
-
 def run_steal(
     spec: ConformanceSpec,
     input_space: list[tuple[Any, ...]],
@@ -909,12 +753,11 @@ def run_steal(
     progress: bool = False,
     progress_interval: float = 5.0,
 ) -> None:
-    """Drain the fixed task list with a dynamically-fed process pool.
+    """Drain the fixed task list through :func:`_drain`.
 
     Called from :func:`repro.check.explore.explore`; fills ``result`` in
-    place.  Submission is bounded (about two tasks in flight per worker)
-    so early violations can cancel cheaply, and parts are merged in task
-    index order for worker-count-invariant output.
+    place.  Parts are merged in task index order for worker-count-invariant
+    output; ``max_violations`` stops further submissions.
     """
     observe = obs.current_tracer().enabled or obs.current_metrics().enabled
     payloads, builder_memo, frontier_depth, builder_skipped = _build_tasks(
@@ -930,11 +773,17 @@ def run_steal(
         "tasks": len(payloads),
         "tasks_done": 0,
         "frontier_depth": frontier_depth,
-        "shared_table": False,
     }
     parts: dict[int, dict[str, Any]] = {}
+    queue = iter(payloads)
+    violations_so_far = 0
     started = time.monotonic()
     last_beat = started
+
+    def on_done(payload: dict[str, Any], part: dict[str, Any]) -> None:
+        nonlocal violations_so_far
+        parts[payload["index"]] = part
+        violations_so_far += len(part["violations"])
 
     def heartbeat(force: bool = False) -> None:
         nonlocal last_beat
@@ -946,7 +795,6 @@ def run_steal(
         last_beat = now
         done = len(parts)
         histories = sum(p["histories"] for p in parts.values())
-        violations = sum(len(p["violations"]) for p in parts.values())
         tracer = obs.current_tracer()
         if tracer.enabled:
             tracer.event(
@@ -954,108 +802,31 @@ def run_steal(
                 {"ts": time.time(), "elapsed_s": round(now - started, 3)},
                 spec=spec.name, tasks_done=done,
                 tasks_total=len(payloads), histories=histories,
-                violations=violations, workers=used,
+                violations=violations_so_far, workers=used,
                 frontier_depth=frontier_depth,
             )
         print(
             f"[check] {spec.name}: {done}/{len(payloads)} tasks, "
-            f"{histories} histories, {violations} violation(s), "
+            f"{histories} histories, {violations_so_far} violation(s), "
             f"{now - started:.0f}s elapsed ({used} workers)",
             file=sys.stderr, flush=True,
         )
 
-    if used == 1:
-        # In-process: no pool, no registry requirement, no shared segments —
-        # the builder memo plays the table's role across tasks.
-        violations_so_far = 0
-        for index, payload in enumerate(payloads):
-            parts[index] = _scale_task_impl(spec, payload, builder_memo)
-            violations_so_far += len(parts[index]["violations"])
-            heartbeat()
-            if (
-                max_violations is not None
-                and violations_so_far >= max_violations
-            ):
-                break
-        heartbeat(force=True)
-    else:
-        try:
-            registered = get_spec(spec.name)
-        except KeyError:
-            registered = None
-        if registered is not spec:
-            raise ValueError(
-                f"workers>1 needs a registered spec; {spec.name!r} is not "
-                "the registered instance (register it, or run with "
-                "workers=1)"
-            )
-        table: SharedMemoTable | None = None
-        try:
-            try:
-                table = SharedMemoTable.create()
-                for key, value in builder_memo._front.items():
-                    table.put(key, value)
-            except Exception:
-                if table is not None:
-                    table.destroy()
-                table = None  # no /dev/shm: workers fall back to local memos
-            result.scale["shared_table"] = table is not None
-            initargs = (
-                list(sys.path),
-                table.handles() if table is not None else None,
-                table.lock if table is not None else None,
-            )
-            with ProcessPoolExecutor(
-                max_workers=used, initializer=_init_scale_worker,
-                initargs=initargs,
-            ) as pool:
-                pending: dict[Any, int] = {}
-                next_index = 0
-                in_flight = used * 2
-                violations_so_far = 0
-                stop = False
-                while pending or (next_index < len(payloads) and not stop):
-                    while (
-                        not stop
-                        and next_index < len(payloads)
-                        and len(pending) < in_flight
-                    ):
-                        future = pool.submit(
-                            _scale_task, payloads[next_index]
-                        )
-                        pending[future] = next_index
-                        next_index += 1
-                    if not pending:
-                        break
-                    done, _ = wait(
-                        set(pending),
-                        timeout=(progress_interval if progress else None),
-                        return_when=FIRST_COMPLETED,
-                    )
-                    for future in done:
-                        index = pending.pop(future)
-                        part = future.result()
-                        parts[index] = part
-                        violations_so_far += len(part["violations"])
-                    if (
-                        max_violations is not None
-                        and violations_so_far >= max_violations
-                    ):
-                        stop = True
-                        for future in pending:
-                            future.cancel()
-                        pending = {}
-                    heartbeat()
-                heartbeat(force=True)
-        finally:
-            if table is not None:
-                table.destroy()
+    _drain(
+        spec, used, builder_memo, _run_steal_task,
+        lambda: next(queue, None), on_done,
+        lambda: (
+            max_violations is not None
+            and violations_so_far >= max_violations
+        ),
+        heartbeat, progress_interval if progress else None,
+    )
+    heartbeat(force=True)
     _merge_parts(spec, result, parts, engine_totals, max_violations)
-    result.scale["tasks_done"] = len(parts)
     result.scale.update({
+        "tasks_done": len(parts),
         "shared_hits": engine_totals.shared_hits,
         "shared_misses": engine_totals.shared_misses,
-        "shared_publishes": engine_totals.shared_publishes,
     })
 
 
@@ -1107,15 +878,8 @@ def _bfs_fingerprint(
         json.dumps(doc, sort_keys=True).encode()
     ).hexdigest()
 
-def _bfs_task(payload: dict[str, Any]) -> dict[str, Any]:
-    """Pool entry for one BFS frontier segment."""
-    shared = _WORKER.get("memo")
-    if shared is None:
-        shared = _WORKER["memo"] = _WorkerMemo(None)
-    return _bfs_task_impl(get_spec(payload["spec"]), payload, shared)
-
-def _bfs_task_impl(
-    spec: ConformanceSpec, payload: dict[str, Any], shared: _WorkerMemo
+def _run_bfs_task(
+    spec: ConformanceSpec, payload: dict[str, Any], memo: Memo
 ) -> dict[str, Any]:
     """Expand/judge one frontier segment; spill children, write results.
 
@@ -1145,7 +909,7 @@ def _bfs_task_impl(
         max_d_size=payload["max_d_size"],
         symmetry=None,
     )
-    explorer.shared_memo = shared
+    explorer.shared_memo = memo
     packed = explorer._packed
     dom = packed.domain
     tracer = obs.current_tracer()
@@ -1279,8 +1043,9 @@ def explore_bfs(
     sitting: the result comes back with ``partial=True`` and merged
     counters for the completed portion.
 
-    Requires the packed bitset kernel and ``rounds >= 1``; symmetry
-    reduction is not applied (counts match the default ``explore()``).
+    Requires ``rounds >= 1``; symmetry reduction is not applied (counts
+    match the default ``explore()``).  ``max_tasks`` counts the tasks
+    started in this sitting, so at most that many run.
     Counters and the violation *set* are deterministic for every worker
     count; violations are ordered canonically (by input index, then packed
     history) rather than in DFS order.
@@ -1300,11 +1065,6 @@ def explore_bfs(
         raise ValueError("segment_size must be >= 1")
     predicate = spec.predicate(n)
     packed = predicate.packed()
-    if not packed.fast:
-        raise ValueError(
-            "disk-backed BFS needs the predicate's packed (bitset) kernel; "
-            f"{spec.name!r} at n={n} has none"
-        )
     workers = resolve_workers(workers)
     dom = bitset_domain(n)
     result = ExploreResult(
@@ -1383,36 +1143,35 @@ def explore_bfs(
         # Tasks stay in ``pending`` until their result is durably recorded —
         # dispatch marks them, completion removes them — so a kill while a
         # task is in flight leaves it pending in the manifest for resume.
-        dispatched: set[int] = set()
-
-        def next_task() -> dict[str, Any] | None:
-            for task in pending:
-                if task["id"] not in dispatched:
-                    return task
-            return None
-
-        completed_this_run = 0
+        dispatched: dict[int, dict[str, Any]] = {}
+        started_this_run = 0
         violations_seen = sum(e.get("violations", 0) for e in done)
-        stop = False
         last_beat = time.monotonic()
 
-        def make_payload(task: dict[str, Any]) -> dict[str, Any]:
+        def next_payload() -> dict[str, Any] | None:
+            nonlocal started_this_run
+            task = next(
+                (t for t in pending if t["id"] not in dispatched), None
+            )
+            if task is None:
+                return None
+            dispatched[task["id"]] = task
+            started_this_run += 1
             return {
                 "spec": spec.name,
                 "inputs": input_space[task["input"]],
                 "input_index": task["input"],
                 "n": n, "rounds": rounds,
                 "prune_decided": prune_decided, "max_d_size": max_d_size,
-                "engine": "incremental", "symmetry": None,
                 "dir": str(directory), "task_id": task["id"],
                 "level": task["level"], "seg": task["seg"],
                 "segment_size": segment_size,
             }
 
-        def on_done(task: dict[str, Any], summary: dict[str, Any]) -> None:
-            nonlocal next_id, completed_this_run, violations_seen
+        def on_done(payload: dict[str, Any], summary: dict[str, Any]) -> None:
+            nonlocal next_id, violations_seen
+            task = dispatched.pop(payload["task_id"])
             pending.remove(task)
-            dispatched.discard(task["id"])
             done.append({
                 "id": task["id"], "res": summary["res"],
                 "violations": summary["violations"],
@@ -1424,7 +1183,6 @@ def explore_bfs(
                     "count": child["count"],
                 })
                 next_id += 1
-            completed_this_run += 1
             violations_seen += summary["violations"]
             manifest.update(
                 next_task_id=next_id, pending=pending, done=done
@@ -1453,59 +1211,18 @@ def explore_bfs(
             )
 
         def budget_spent() -> bool:
-            if max_tasks is not None and completed_this_run >= max_tasks:
+            if max_tasks is not None and started_this_run >= max_tasks:
                 return True
             return (
                 max_violations is not None
                 and violations_seen >= max_violations
             )
 
-        if workers > 1 and pending:
-            try:
-                registered = get_spec(spec.name)
-            except KeyError:
-                registered = None
-            if registered is not spec:
-                raise ValueError(
-                    f"workers>1 needs a registered spec; {spec.name!r} is "
-                    "not the registered instance (register it, or run with "
-                    "workers=1)"
-                )
-            result.workers = workers
-            with ProcessPoolExecutor(
-                max_workers=workers, initializer=_init_scale_worker,
-                initargs=(list(sys.path), None, None),
-            ) as pool:
-                in_flight: dict[Any, dict[str, Any]] = {}
-                while (pending or in_flight) and not stop:
-                    while len(in_flight) < workers and not budget_spent():
-                        task = next_task()
-                        if task is None:
-                            break
-                        dispatched.add(task["id"])
-                        in_flight[pool.submit(_bfs_task, make_payload(task))] = task
-                    if not in_flight:
-                        break
-                    finished, _ = wait(
-                        set(in_flight),
-                        timeout=(progress_interval if progress else None),
-                        return_when=FIRST_COMPLETED,
-                    )
-                    for future in finished:
-                        task = in_flight.pop(future)
-                        on_done(task, future.result())
-                    heartbeat()
-                    if budget_spent() and not in_flight:
-                        stop = True
-        else:
-            result.workers = 1
-            memo = _WorkerMemo(None)
-            while pending and not budget_spent():
-                task = pending[0]
-                on_done(
-                    task, _bfs_task_impl(spec, make_payload(task), memo)
-                )
-                heartbeat()
+        result.workers = workers if pending else 1
+        _drain(
+            spec, result.workers, {}, _run_bfs_task, next_payload, on_done,
+            budget_spent, heartbeat, progress_interval if progress else None,
+        )
         heartbeat(force=True)
         result.partial = bool(pending)
 

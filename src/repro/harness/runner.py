@@ -208,10 +208,6 @@ def init_worker(parent_path: list[str]) -> None:
             sys.path.append(entry)
 
 
-#: Backwards-compatible alias (pre-scale-out name).
-_init_worker = init_worker
-
-
 @dataclass
 class ChunkOutcome:
     """One chunk's reduced states plus its cost and observability payload.
@@ -407,7 +403,7 @@ def run_experiment(
             used_workers = min(effective_workers, len(payloads))
             with ProcessPoolExecutor(
                 max_workers=used_workers,
-                initializer=_init_worker,
+                initializer=init_worker,
                 initargs=(list(sys.path),),
             ) as pool:
                 # pool.map preserves payload order: chunk observability is

@@ -1,4 +1,4 @@
-"""The scale-out layer: work-stealing scheduler, shared table, BFS/resume.
+"""The scale-out layer: work-stealing scheduler, BFS/resume, one driver.
 
 The determinism contract under test, in three layers:
 
@@ -21,7 +21,6 @@ from repro import obs
 from repro.check.explore import explore
 from repro.check.scale import (
     CHECKPOINT_VERSION,
-    SharedMemoTable,
     TARGET_TASKS,
     explore_bfs,
 )
@@ -171,11 +170,10 @@ class TestWorkerCountInvariance:
         assert result.scheduler == "steal"
         assert result.scale["tasks"] == result.scale["tasks_done"] > 1
         assert result.scale["frontier_depth"] >= 1
-        # /dev/shm may be unavailable in constrained sandboxes; when the
-        # table does come up, the builder pre-seeds it so every task's
-        # frontier load is a cross-worker hit.
-        if result.scale["shared_table"]:
-            assert result.scale["shared_hits"] > 0
+        # The builder's memo seeds every worker, so each task's frontier
+        # load is a hit and no worker has to enumerate a list itself.
+        assert result.scale["shared_hits"] > 0
+        assert result.scale["shared_misses"] == 0
 
 
 class TestSmallFrontierUtilization:
@@ -248,29 +246,55 @@ class TestBfs:
         assert serial.violations
         assert _violation_keys(bfs) == _violation_keys(serial)
 
-    def test_interrupt_and_resume_converges(self, tmp_path, weak_kset):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_interrupt_and_resume_converges(self, tmp_path, weak_kset, workers):
         """The kill-and-resume acceptance test: a budget-stopped
         checkpointed run, resumed, equals the uninterrupted result."""
         serial = explore(weak_kset, n=3)
         ckpt = tmp_path / "ckpt"
         partial = explore_bfs(
             weak_kset, n=3, checkpoint=str(ckpt),
-            segment_size=32, max_tasks=2,
+            segment_size=32, max_tasks=2, workers=workers,
         )
         assert partial.partial
+        assert partial.scale["tasks_done"] == 2  # max_tasks is exact
         assert partial.histories < serial.histories
         resumed = explore_bfs(
             weak_kset, n=3, checkpoint=str(ckpt),
-            resume=True, segment_size=32,
+            resume=True, segment_size=32, workers=workers,
         )
         assert not resumed.partial
         assert _search_sig(resumed) == _search_sig(serial)
         # Resuming a finished run is the identity.
         again = explore_bfs(
             weak_kset, n=3, checkpoint=str(ckpt),
-            resume=True, segment_size=32,
+            resume=True, segment_size=32, workers=workers,
         )
         assert _search_sig(again) == _search_sig(serial)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_bfs_on_a_bridged_predicate_matches_serial(self, workers):
+        """BFS runs predicates without a fast kernel through the engine's
+        bridge, in-process and on the pool alike."""
+        class BridgedWeakKSet(CrashSync):  # exact-type guard: the bridge runs
+            pass
+
+        weak = get_spec("kset").weakened(
+            lambda n: BridgedWeakKSet(n, n - 1), suffix="scale-bfs-bridged"
+        )
+        assert not weak.predicate(3).packed().fast
+        register(weak)
+        try:
+            for prune in (False, True):
+                serial = explore(weak, n=3, prune_decided=prune)
+                assert serial.violations  # the weakening must actually bite
+                bfs = explore_bfs(
+                    weak, n=3, prune_decided=prune, segment_size=32,
+                    workers=workers,
+                )
+                assert _search_sig(bfs) == _search_sig(serial), prune
+        finally:
+            del _REGISTRY[weak.name]
 
     def test_resume_rejects_mismatched_parameters(self, tmp_path):
         ckpt = tmp_path / "ckpt"
@@ -344,78 +368,6 @@ class TestBfs:
         )
         manifest = json.loads((ckpt / "manifest.json").read_text())
         assert manifest["version"] == CHECKPOINT_VERSION
-
-
-class TestSharedMemoTable:
-    def test_put_get_roundtrip(self):
-        table = SharedMemoTable.create(slots=64, blob_bytes=1 << 16)
-        try:
-            key = ("frontier", (1, 2, 3))
-            assert table.get(key) is None
-            assert table.put(key, [10, 20, 30])
-            assert table.get(key) == [10, 20, 30]
-        finally:
-            table.destroy()
-
-    def test_full_key_verified_not_just_fingerprint(self):
-        """Collision safety: a fingerprint hit with a different canonical
-        key must read as a miss, never as the other key's value."""
-        import pickle
-
-        from repro.check.scale import _SLOT
-
-        table = SharedMemoTable.create(slots=64, blob_bytes=1 << 16)
-        try:
-            assert table.put(("a", 1), "value-a")
-            fp_a = table._fingerprint(pickle.dumps(("a", 1), protocol=4))
-            off_a = None
-            slot_a = None
-            for i in range(table.slots):
-                slot_fp, slot_off = _SLOT.unpack_from(
-                    table._index.buf, i * _SLOT.size
-                )
-                if slot_fp == fp_a:
-                    slot_a, off_a = i, slot_off
-            assert off_a is not None
-            # Forge a 64-bit collision: key B's fingerprint slot points at
-            # key A's payload, exactly what a hash collision would produce.
-            forged = next(
-                ("b", i) for i in range(1000)
-                if table._fingerprint(
-                    pickle.dumps(("b", i), protocol=4)
-                ) % table.slots != slot_a
-            )
-            fp_b = table._fingerprint(pickle.dumps(forged, protocol=4))
-            _SLOT.pack_into(
-                table._index.buf, (fp_b % table.slots) * _SLOT.size,
-                fp_b, off_a,
-            )
-            assert table.get(forged) is None  # full-key mismatch -> miss
-            assert table.get(("a", 1)) == "value-a"
-        finally:
-            table.destroy()
-
-    def test_attach_shares_entries(self):
-        table = SharedMemoTable.create(slots=64, blob_bytes=1 << 16)
-        try:
-            table.put(("shared", 7), {"deep": [1, 2]})
-            other = SharedMemoTable.attach(table.handles(), table.lock)
-            try:
-                assert other.get(("shared", 7)) == {"deep": [1, 2]}
-            finally:
-                other.close()
-        finally:
-            table.destroy()
-
-    def test_capacity_exhaustion_degrades_to_false(self):
-        table = SharedMemoTable.create(slots=4, blob_bytes=256)
-        try:
-            stored = sum(
-                1 for i in range(32) if table.put(("k", i), "x" * 40)
-            )
-            assert stored < 32  # ran out of slots/blob, no exception
-        finally:
-            table.destroy()
 
 
 class TestTaskDecomposition:
